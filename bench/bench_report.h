@@ -29,6 +29,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/version.h"
@@ -38,8 +39,8 @@
 namespace asyncrd::bench {
 
 /// Schema version of the provenance block itself (bumped independently of
-/// any one bench's row layout).
-inline constexpr std::uint64_t provenance_schema = 1;
+/// any one bench's row layout).  2 added "cores".
+inline constexpr std::uint64_t provenance_schema = 2;
 
 /// The machine's hostname, or "unknown".
 inline std::string bench_host() {
@@ -60,6 +61,9 @@ inline void write_provenance(telemetry::json_writer& w) {
   w.kv("build_type", asyncrd::build_type);
   w.kv("compiler", asyncrd::build_compiler);
   w.kv("host", bench_host());
+  // Thread-count-dependent rows (sweep_1k_x8) only compare across hosts
+  // with the same core count.
+  w.kv("cores", std::uint64_t{std::thread::hardware_concurrency()});
   w.end_object();
 }
 

@@ -7,9 +7,7 @@
 // the ISSUE 3 acceptance criterion is phrased in.  Baseline (std::map nodes
 // and channels, binary-heap event queue, make_shared per message) measured
 // before the rewrite is recorded under notes.pre_pr_events_per_sec_10k.
-#include <algorithm>
 #include <iostream>
-#include <thread>
 
 #include "bench_report.h"
 #include "common/table.h"
@@ -112,43 +110,6 @@ int main(int argc, char** argv) {
     const double w =
         pool_reg.get_gauge("pool.generic_wire_10000.peak_bytes").value();
     if (w > 0.0) rep.note("pool_peak_struct_over_wire_10k", s / w);
-  }
-
-  // Parallel engine on the headline configuration: the same 10k execution
-  // sharded across hardware_concurrency worker threads with byte-identical
-  // replay (sim/parallel_engine.h).  The achievable speedup is bounded by
-  // the host's core count; on a 1-core host the row honestly reports the
-  // window protocol's overhead (< 1.0x vs the serial loop) instead.
-  {
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    const auto g = graph::random_weakly_connected(10000, 10000, 42);
-    double best_eps = 0.0;
-    std::uint64_t events = 0;
-    double wall_ms = 0.0;
-    bool completed = true;
-    for (int i = 0; i < reps; ++i) {
-      sim::unit_delay_scheduler sched;
-      core::config cfg;
-      core::discovery_run run(g, cfg, sched);
-      run.wake_all();
-      const auto r = run.run_parallel(hw);
-      completed = completed && r.completed;
-      const sim::run_timing& timing = run.net().timing();
-      const double eps = timing.events_per_sec();
-      if (eps > best_eps) {
-        best_eps = eps;
-        events = timing.events;
-        wall_ms = timing.wall_ms();
-      }
-    }
-    all_ok = all_ok && completed;
-    rep.add("generic_parallel", 10000.0, best_eps, 0.0);
-    rep.note("parallel_shards", static_cast<double>(hw));
-    if (headline > 0.0)
-      rep.note("parallel_speedup_vs_serial", best_eps / headline);
-    t.add_row({"10000", "generic/par", std::to_string(events),
-               fmt_double(wall_ms), fmt_double(best_eps)});
   }
 
   // Parallel seed sweep over the same 1k topology: total events dispatched

@@ -26,9 +26,6 @@
 //     --profile         arm the hot-path cost profiler: where the event
 //                       loop's cycles go, by phase and message type (adds
 //                       a "profile" block to --json and a stdout summary)
-//     --shards N        run through the parallel engine with N worker
-//                       shards (0 = hardware concurrency); byte-identical
-//                       with the serial loop at every shard count
 //     --wire            encode every message into the compact binary wire
 //                       format at the send choke point (sim/wire.h); adds
 //                       a "wire" block with measured per-type bytes to
@@ -80,7 +77,6 @@ using namespace asyncrd;
       "  --watchdog W          stall watchdog, window W (trip => exit 3)\n"
       "  --flight PATH         write flight-recorder ring to PATH at exit\n"
       "  --profile             hot-path cost attribution (in --json too)\n"
-      "  --shards N            parallel engine, N worker shards (0 = cores)\n"
       "  --wire                binary wire codec (measured bytes in --json)\n";
   std::exit(2);
 }
@@ -154,9 +150,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::string gen_spec, input, json_path, trace_path, chaos_spec, flight_path;
   std::uint64_t series_interval = 0, watchdog_window = 0;
-  bool want_dot = false, quiet = false, profile = false, parallel = false;
-  bool wire = false;
-  std::size_t shards = 0;
+  bool want_dot = false, quiet = false, profile = false, wire = false;
   node_id probe_from = invalid_node;
 
   for (int i = 1; i < argc; ++i) {
@@ -179,10 +173,6 @@ int main(int argc, char** argv) {
     else if (a == "--flight") flight_path = next();
     else if (a == "--profile") profile = true;
     else if (a == "--wire") wire = true;
-    else if (a == "--shards") {
-      parallel = true;
-      shards = num_u64(a, next());
-    }
     else if (a == "--version") {
       std::cout << "asyncrd " << asyncrd::version << '\n';
       return 0;
@@ -247,7 +237,7 @@ int main(int argc, char** argv) {
     run.net().add_observer(tr.get());
   }
   run.wake_all();
-  const auto r = parallel ? run.run_parallel(shards) : run.run();
+  const auto r = run.run();
 
   // Postmortem ring: written on every exit path once armed, so a failing
   // run always leaves its last-K scheduler events behind.

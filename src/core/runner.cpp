@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/bitmath.h"
-#include "sim/parallel_engine.h"
 
 namespace asyncrd::core {
 
@@ -55,19 +54,6 @@ void discovery_run::wake_all() {
 
 sim::run_result discovery_run::run(std::uint64_t max_events) {
   return net_.run(max_events);
-}
-
-sim::run_result discovery_run::run_parallel(std::size_t shards,
-                                            std::uint64_t max_events) {
-  sim::parallel_config pcfg;
-  pcfg.shards = shards;
-  pcfg.user_replay = [this](std::uint64_t n, std::uint64_t from,
-                            std::uint64_t to) {
-    merge_tracker_.apply(static_cast<node_id>(n), static_cast<status_t>(from),
-                         static_cast<status_t>(to));
-  };
-  sim::parallel_engine engine(net_, pcfg);
-  return engine.run(max_events);
 }
 
 void discovery_run::add_node_dynamic(node_id id,

@@ -92,16 +92,6 @@ class discovery_run {
   /// Runs to completion (quiescence + scheduler hooks exhausted).
   sim::run_result run(std::uint64_t max_events = sim::network::default_event_cap);
 
-  /// Same execution, sharded across worker threads by the parallel engine
-  /// (sim/parallel_engine.h) — byte-identical with run() at every shard
-  /// count, including merge accounting and any armed trace sink (their
-  /// records defer to the window barrier and replay in serial order).
-  /// shards == 0 picks the hardware concurrency; 1 degrades gracefully to
-  /// a windowed serial execution.
-  sim::run_result run_parallel(
-      std::size_t shards,
-      std::uint64_t max_events = sim::network::default_event_cap);
-
   /// §6 dynamic addition: a brand-new node that knows `initial_local`.
   void add_node_dynamic(node_id id, std::set<node_id> initial_local);
 
@@ -124,18 +114,6 @@ class discovery_run {
   /// user-armed sink, so telemetry can trace without losing merge counts.
   struct merge_tracker final : trace_sink {
     void on_transition(node_id n, status_t from, status_t to) override {
-      // Inside a parallel window phase the counters (and the user sink)
-      // must not be touched from worker threads: park the transition in
-      // the worker's deferral log; run_parallel's user_replay callback
-      // feeds it back through apply() at the barrier, in serial order.
-      if (net->deferred_phase()) {
-        net->defer_user_record(n, static_cast<std::uint64_t>(from),
-                               static_cast<std::uint64_t>(to));
-        return;
-      }
-      apply(n, from, to);
-    }
-    void apply(node_id n, status_t from, status_t to) {
       if (is_leader_status(from) && !is_leader_status(to)) {
         ++merges;
         last_merge_at = net->now();

@@ -7,12 +7,11 @@
 // `max_thread_bytes` across all classes.
 //
 // Cross-thread migration: a block freed on a different thread than it was
-// allocated on lands in the freeing thread's cache.  Under the parallel
-// engine that flow is systematically one-way — workers allocate message
-// payloads during window phases, the coordinator frees them after barrier
-// replay — so without a cap the coordinator's cache would grow without
-// bound while the workers allocate fresh heap blocks forever.  Overflow
-// therefore spills, in batches, to a global mutex-protected reclaim list,
+// allocated on lands in the freeing thread's cache.  If that flow is
+// systematically one-way — a producer thread allocates messages, a
+// consumer frees them — then without a cap the consumer's cache would grow
+// without bound while the producer allocates fresh heap blocks forever.
+// Overflow therefore spills, in batches, to a global mutex-protected reclaim list,
 // and a thread whose local class list misses refills from that list (again
 // in batches) before touching operator new.  The lock is taken once per
 // batch, not per block, so the serial hot path (send -> deliver -> drop on
@@ -76,8 +75,8 @@ global_pool& global() {
 /// Live-byte gauges: allocate charges the block's full charged size (class
 /// size for pooled blocks, exact size above the largest class); deallocate
 /// refunds it on whichever thread frees.  Process-wide relaxed atomics —
-/// blocks migrate threads under the parallel engine, so per-thread gauges
-/// would drift negative on the coordinator.  These count *live* blocks
+/// a block may be freed on another thread than the one that allocated it,
+/// so per-thread gauges could drift negative.  These count *live* blocks
 /// handed to callers, not free-list inventory: exactly the message-footprint
 /// number the struct-vs-wire bench comparison needs.
 std::atomic<std::int64_t> live_bytes_{0};

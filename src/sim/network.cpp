@@ -27,22 +27,7 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 constexpr std::uint64_t fault_stream_salt = 0xC8A5'5151'7ED5'58CCull;
 constexpr std::uint64_t outage_phase_salt = 0x09E3'779B'97F4'A7C1ull;
 
-/// The calling thread's deferral sink during a parallel window phase
-/// (sim/parallel_engine.h).  Thread-local so worker handlers reach their
-/// own shard's log with no synchronization; null outside a phase.
-thread_local deferral_sink* tls_deferral = nullptr;
-
 }  // namespace
-
-void network::set_thread_deferral(deferral_sink* sink) noexcept {
-  tls_deferral = sink;
-}
-
-void network::defer_user_record(std::uint64_t a, std::uint64_t b,
-                                std::uint64_t c) {
-  assert(deferred_ && tls_deferral != nullptr);
-  tls_deferral->defer_user(a, b, c);
-}
 
 void multi_observer::add(observer* obs) {
   assert(obs != nullptr);
@@ -104,10 +89,6 @@ void network::reserve_nodes(std::size_t n) {
 
 void network::add_node(node_id id, std::unique_ptr<process> p) {
   assert(p != nullptr);
-  // The slot table is read lock-free by every worker during a parallel
-  // window phase; dynamic additions must happen between windows.
-  if (deferred_)
-    throw std::logic_error("add_node from inside a parallel window phase");
   if (index_of(id) != npos) throw std::invalid_argument("duplicate node id");
   const auto idx = static_cast<std::uint32_t>(slots_.size());
   slots_.emplace_back();
@@ -140,8 +121,6 @@ bool network::is_awake(node_id id) const {
 }
 
 void network::wake(node_id id) {
-  if (deferred_)
-    throw std::logic_error("wake from inside a parallel window phase");
   const std::uint32_t idx = index_of(id);
   if (idx == npos) throw std::invalid_argument("wake: unknown node");
   // A wake requested at quiescence (Lemma 3.1's driver) — or from inside a
@@ -213,9 +192,8 @@ message_ptr network::wire_encode(message_ptr m) {
     wire_bytes_ += wm.size();
     return m;
   }
-  // Encode runs with deferred_ off only (parallel replay funnels every app
-  // send back through send_internal serially), so one scratch buffer per
-  // thread is plenty and the counters advance in serial (at, seq) order.
+  // One scratch buffer per thread: parallel_sweep runs independent networks
+  // side by side, each encoding on its own worker.
   static thread_local std::vector<std::uint8_t> scratch;
   scratch.clear();
   codec_->encode[inner](*m, scratch);
@@ -343,15 +321,6 @@ sim_time network::scheduled_delay(node_id from, node_id to, const message& m) {
 
 void network::send_internal(node_id from, node_id to, message_ptr m) {
   assert(m != nullptr);
-  // Window phase: the send is an *effect* of a handler running ahead of
-  // its serial turn — log it for barrier replay (where this function runs
-  // again with deferred_ off, in exact (at, seq) order, so the adapter's
-  // send state and every RNG stream advance as they would serially).
-  if (deferred_) {
-    assert(tls_deferral != nullptr);
-    tls_deferral->defer_app_send(from, to, std::move(m));
-    return;
-  }
   // Wire mode: encode (or recognize a forwarded frame) and account bytes
   // here — the one choke point every application send funnels through,
   // before the fault plan or the adapter see it.  Counted bytes are the
@@ -383,13 +352,6 @@ void network::send_internal(node_id from, node_id to, message_ptr m) {
 
 void network::transport_send(node_id from, node_id to, message_ptr m) {
   assert(m != nullptr);
-  // Window phase: defer before touching stats, observers, or channels —
-  // all of those are shared and must mutate in serial order at the barrier.
-  if (deferred_) {
-    assert(tls_deferral != nullptr);
-    tls_deferral->defer_wire_send(from, to, std::move(m));
-    return;
-  }
   const std::uint32_t to_idx = index_of(to);
   if (to_idx == npos) throw std::invalid_argument("send: unknown destination");
   const std::uint32_t from_idx = index_of(from);
@@ -491,18 +453,6 @@ void network::schedule_transmission(std::uint32_t ci, queued_msg q,
 
 void network::app_deliver(node_id to, node_id from, const message_ptr& m) {
   assert(m != nullptr);
-  // Window phase: the handler runs *now* on the worker (delivering the
-  // application payload is the parallel work); only the delivery count is
-  // deferred.  The per-shard trace identity stands in for tctx_.
-  if (deferred_) {
-    assert(tls_deferral != nullptr);
-    const std::uint32_t widx = index_of(to);
-    if (widx == npos) throw std::invalid_argument("app_deliver: unknown node");
-    tls_deferral->note_app_delivery();
-    context ctx(*this, to);
-    slots_[widx].proc->on_message(ctx, from, m);
-    return;
-  }
   if (!tctx_.active)
     throw std::logic_error("app_deliver outside a delivery activation");
   const std::uint32_t to_index = index_of(to);
@@ -550,11 +500,6 @@ void network::inject_remote(node_id to, node_id from, const message_ptr& m) {
 void network::schedule_adapter_timer(sim_time delay, std::uint64_t key) {
   if (adapter_ == nullptr)
     throw std::logic_error("schedule_adapter_timer without adapter");
-  if (deferred_) {
-    assert(tls_deferral != nullptr);
-    tls_deferral->defer_timer(delay, key);
-    return;
-  }
   push_event(now_ + (delay == 0 ? 1 : delay), event_kind::timer, 0, key);
 }
 

@@ -118,28 +118,6 @@ class link_adapter {
   virtual void transport_deliver(node_id from, node_id to,
                                  const message_ptr& m) = 0;
   virtual void on_timer(std::uint64_t key) = 0;
-
-  // --- sharded execution contract (sim/parallel_engine.h) ---------------
-  //
-  // Under the parallel engine, transport deliveries run on worker threads
-  // partitioned by destination node, while app_send and on_timer always
-  // run on the coordinator in serial (at, seq) order.  The two hooks below
-  // let an adapter keep its internal state race-free under that split; the
-  // defaults are correct for adapters without cross-delivery state.
-
-  /// Classifies a transport delivery: return true if handling `m` at `to`
-  /// only touches state owned by `to`'s shard (per-destination receive
-  /// state, app deliveries), false if it must be deferred to the barrier
-  /// and handled serially (e.g. acks that mutate the *sender's* ARQ state
-  /// and draw from its RNG streams — replaying those in (at, seq) order is
-  /// what keeps parallel runs byte-identical with serial ones).
-  virtual bool deliver_in_window(const message&) const { return true; }
-
-  /// Called by the parallel engine, on the coordinator, after the barrier
-  /// of any window that created new channels: (from, to) is now a live
-  /// ordered channel.  Adapters pre-create per-channel receive state here
-  /// so the worker-phase lookups never insert into shared tables.
-  virtual void prepare_channel(node_id /*from*/, node_id /*to*/) {}
 };
 
 /// Egress hook for destinations this network does not host (service mode).
@@ -153,28 +131,6 @@ class remote_gateway {
  public:
   virtual ~remote_gateway() = default;
   virtual void remote_send(node_id from, node_id to, message_ptr m) = 0;
-};
-
-/// Per-worker sink for network effects generated inside a parallel window
-/// (sim/parallel_engine.h).  While a window phase runs, every handler-
-/// initiated send, timer arm, and trace record is appended to the calling
-/// worker's sink instead of executing; the engine replays the logs at the
-/// barrier in serial (at, seq) order.  Installed per thread via
-/// network::set_thread_deferral.
-class deferral_sink {
- public:
-  virtual void defer_app_send(node_id from, node_id to, message_ptr m) = 0;
-  virtual void defer_wire_send(node_id from, node_id to, message_ptr m) = 0;
-  virtual void defer_timer(sim_time delay, std::uint64_t key) = 0;
-  /// Opaque user record (trace-sink transitions); replayed through the
-  /// engine's user_replay callback in serial order.
-  virtual void defer_user(std::uint64_t a, std::uint64_t b,
-                          std::uint64_t c) = 0;
-  /// Counts one application-level delivery on this worker's shard.
-  virtual void note_app_delivery() = 0;
-
- protected:
-  ~deferral_sink() = default;
 };
 
 /// Handle a process uses to interact with the network from inside a handler.
@@ -556,30 +512,10 @@ class network : public transport {
   /// True iff no undelivered messages exist anywhere (including held ones).
   bool channels_empty() const noexcept { return in_flight_ == 0; }
 
-  // --- sharded execution (sim/parallel_engine.h) -------------------------
-
-  /// True while a parallel window phase is executing handlers (possibly on
-  /// worker threads): sends, timer arms, and trace records are being
-  /// deferred to per-shard logs for barrier replay.  Toggled only between
-  /// phases on the coordinator, never concurrently with handler execution.
-  bool deferred_phase() const noexcept { return deferred_; }
-
-  /// Appends an opaque record to the calling worker's deferral sink; the
-  /// parallel engine replays it (through its user_replay callback) at the
-  /// barrier, in serial activation order.  Trace sinks whose bookkeeping
-  /// must stay in serial order call this when deferred_phase() is true.
-  /// Invalid outside a window phase.
-  void defer_user_record(std::uint64_t a, std::uint64_t b, std::uint64_t c);
-
-  /// Installs (nullptr clears) the calling thread's deferral sink.  The
-  /// parallel engine sets one per worker for the duration of each phase.
-  static void set_thread_deferral(deferral_sink* sink) noexcept;
-
   static constexpr std::uint64_t default_event_cap = 500'000'000;
 
  private:
   friend class context;
-  friend class parallel_engine;
 
   static constexpr std::uint32_t npos = flat_u64_map::npos;
 
@@ -736,10 +672,6 @@ class network : public transport {
   cost_profiler* prof_ = nullptr;
   std::uint64_t app_deliveries_ = 0;
   bool stop_requested_ = false;
-  /// Window phase flag (see deferred_phase()).  Plain bool: writes happen
-  /// on the coordinator strictly before/after the phase's fork/join
-  /// barriers, which order them against every worker's reads.
-  bool deferred_ = false;
   sim_time now_ = 0;
   std::uint64_t seq_ = 0;
   trace_context tctx_;

@@ -2,11 +2,10 @@
 // of event processing to phases, with zero allocation and near-zero cost
 // when disarmed (one pointer test per instrumented site).
 //
-// Why: ROADMAP item 1 (sharding a single run across worker threads) needs
-// to know where the single-thread cycles actually go — queue maintenance,
-// fault ruling, ARQ recovery, per-message-type protocol handlers, or the
-// tracing/health instruments themselves — before any of it is worth
-// parallelizing.  The profiler answers that on a live run instead of
+// Why: speeding up the simulator needs to know where the cycles actually
+// go — queue maintenance, fault ruling, ARQ recovery, per-message-type
+// protocol handlers, or the tracing/health instruments themselves — before
+// any of it is worth optimizing.  The profiler answers that on a live run instead of
 // requiring an external sampling profiler and symbol-level post-processing.
 //
 // Mechanism: a flat "phase switch" state machine over a cheap monotonic
@@ -184,26 +183,6 @@ class cost_profiler {
     std::uint64_t sum = 0;
     for (const bucket& b : tags_) sum += b.ticks;
     return sum;
-  }
-
-  /// Folds another profiler's totals into this one (additive: counts,
-  /// ticks, loop span, event-gate accounting).  The parallel engine keeps
-  /// one profiler per shard so workers never share a stack, then merges
-  /// them into the armed profiler at the end of the run.  Only settled
-  /// totals merge — both profilers must be outside any open span.
-  void merge_from(const cost_profiler& o) noexcept {
-    for (std::size_t i = 0; i < phase_count; ++i) {
-      phases_[i].ticks += o.phases_[i].ticks;
-      phases_[i].count += o.phases_[i].count;
-    }
-    for (std::size_t i = 0; i < tag_count; ++i) {
-      tags_[i].ticks += o.tags_[i].ticks;
-      tags_[i].count += o.tags_[i].count;
-    }
-    loop_ticks_ += o.loop_ticks_;
-    events_ += o.events_;
-    sampled_events_ += o.sampled_events_;
-    sampled_span_ += o.sampled_span_;
   }
 
   void reset() noexcept {

@@ -10,16 +10,6 @@ namespace {
 constexpr std::uint64_t jitter_salt = 0xA3C5'9AC3'1F22'D73Bull;
 }  // namespace
 
-reliable_link_stats reliable_link_layer::stats() const noexcept {
-  reliable_link_stats out = stats_;
-  for (const receiver_state& r : receivers_) {
-    out.acks_sent += r.acks_sent;
-    out.dup_suppressed += r.dup_suppressed;
-    out.buffered_ooo += r.buffered_ooo;
-  }
-  return out;
-}
-
 bool reliable_link_layer::all_acked() const noexcept {
   for (const sender_state& s : senders_)
     if (!s.unacked.empty()) return false;
@@ -105,7 +95,7 @@ void reliable_link_layer::handle_data(node_id from, node_id to,
   if (env.seq < r.expected) {
     // Already released in order: a retransmission whose ack was lost, or a
     // wire duplicate.  Re-acking below is what unblocks the sender.
-    ++r.dup_suppressed;
+    ++stats_.dup_suppressed;
   } else if (env.seq == r.expected) {
     ++r.expected;
     net_->app_deliver(to, from, env.inner);
@@ -120,13 +110,13 @@ void reliable_link_layer::handle_data(node_id from, node_id to,
     const auto [it, inserted] = r.buffer.emplace(env.seq, env.inner);
     (void)it;
     if (inserted)
-      ++r.buffered_ooo;
+      ++stats_.buffered_ooo;
     else
-      ++r.dup_suppressed;
+      ++stats_.dup_suppressed;
   }
   // Cumulative ack for every arrival — duplicates included, so a sender
   // whose previous acks were all dropped still learns its progress.
-  ++r.acks_sent;
+  ++stats_.acks_sent;
   net_->transport_send(to, from, make_message<rl_ack_msg>(r.expected));
 }
 
@@ -153,13 +143,6 @@ void reliable_link_layer::handle_ack(node_id from, node_id to,
   // with nothing left unacked it finds an empty queue and dies.
   s.rto = cfg_.rto_initial;
   if (!s.unacked.empty()) arm_timer(index);
-}
-
-void reliable_link_layer::prepare_channel(node_id from, node_id to) {
-  // Receive state only: sender state stays lazily created by app_send,
-  // which the engine always replays serially, preserving the serial
-  // creation order (and with it each sender's jitter-stream identity).
-  receiver_for(from, to);
 }
 
 void reliable_link_layer::on_timer(std::uint64_t key) {

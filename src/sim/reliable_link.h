@@ -118,10 +118,7 @@ class reliable_link_layer final : public link_adapter {
   reliable_link_layer(const reliable_link_layer&) = delete;
   reliable_link_layer& operator=(const reliable_link_layer&) = delete;
 
-  /// Assembled by value: receive-side counters (acks, duplicates, OOO
-  /// parks) live per receiver so the parallel engine's worker shards never
-  /// contend on them, and are summed here.
-  reliable_link_stats stats() const noexcept;
+  reliable_link_stats stats() const noexcept { return stats_; }
   const reliable_link_config& config() const noexcept { return cfg_; }
 
   /// True iff every sent envelope has been cumulatively acked (the protocol
@@ -144,17 +141,6 @@ class reliable_link_layer final : public link_adapter {
                          const message_ptr& m) override;
   void on_timer(std::uint64_t key) override;
 
-  // Sharded-execution contract.  Data envelopes only touch the destination
-  // channel's receive state (owned by the destination's shard) and so run
-  // in-window; acks mutate the *sender's* ARQ state and jitter stream and
-  // must replay serially at the barrier.
-  bool deliver_in_window(const message& m) const override {
-    return m.dispatch_tag() != rl_ack_tag;
-  }
-  /// Pre-creates the receive state for a new ordered channel so in-window
-  /// handle_data never inserts into the shared receiver table.
-  void prepare_channel(node_id from, node_id to) override;
-
  private:
   /// Sender half of one ordered channel (from, to).
   struct sender_state {
@@ -173,14 +159,9 @@ class reliable_link_layer final : public link_adapter {
     rng jitter{0};
   };
 
-  /// Receiver half of one ordered channel (from, to).  Everything here —
-  /// counters included — is touched only by the destination node's shard
-  /// under the parallel engine (or serially otherwise).
+  /// Receiver half of one ordered channel (from, to).
   struct receiver_state {
     std::uint64_t expected = 0;  ///< next in-order sequence number
-    std::uint64_t acks_sent = 0;
-    std::uint64_t dup_suppressed = 0;
-    std::uint64_t buffered_ooo = 0;
     /// Out-of-order envelopes parked until the gap below them fills.
     /// std::map: drained in seq order, stays tiny (bounded by drop bursts).
     std::map<std::uint64_t, message_ptr> buffer;

@@ -82,10 +82,9 @@ class calendar_queue {
     // A past-time event is corruption, not a tolerable slip: `at & mask_`
     // would land it in a *future* ring bucket (the ring is modular), so it
     // would pop out of order up to a whole window late and silently break
-    // the (at, seq) total order every replay guarantee rests on.  Cross-
-    // thread injection (the parallel engine's barrier replay) is exactly
-    // the caller class that could trigger it, so the check must survive
-    // Release builds.
+    // the (at, seq) total order every replay guarantee rests on.  A bug in
+    // any caller's delay arithmetic would surface as a silently reordered
+    // run, so the check must survive Release builds.
     ASYNCRD_CHECK(ev.at >= base_ && "calendar_queue: event scheduled in the past");
     ++size_;
     if (ev.at - base_ <= mask_) {
@@ -109,36 +108,6 @@ class calendar_queue {
     --in_ring_;
     --size_;
     return ev;
-  }
-
-  /// Timestamp of the (at, seq)-least event without removing anything.
-  /// Precondition: !empty().  Advances the window to the next occupied tick
-  /// (the same lazy scan pop() does), so it is O(1) amortized.
-  sim_time peek_time() {
-    assert(size_ > 0);
-    settle();
-    return base_;
-  }
-
-  /// Removes *every* event sharing the earliest timestamp and appends them
-  /// to `out` in (at, seq) order; returns that timestamp.  Precondition:
-  /// !empty().  This is the parallel engine's window primitive: a bucket
-  /// holds exactly one tick, every event it contains was pushed (or
-  /// migrated) in seq order, and all delays are >= 1, so the drained batch
-  /// is a closed causal frontier — nothing inside it can schedule work at
-  /// its own timestamp.
-  sim_time drain_next(std::vector<Event>& out) {
-    assert(size_ > 0);
-    bucket& b = settle();
-    const sim_time at = base_;
-    const std::size_t count = b.events.size() - b.head;
-    out.insert(out.end(), b.events.begin() + static_cast<std::ptrdiff_t>(b.head),
-               b.events.end());
-    b.events.clear();
-    b.head = 0;
-    in_ring_ -= count;
-    size_ -= count;
-    return at;
   }
 
  private:

@@ -2,83 +2,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <utility>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 namespace asyncrd::sim {
-
-worker_pool::worker_pool(std::size_t threads)
-    : threads_(threads == 0 ? 1 : threads) {
-  helpers_.reserve(threads_ - 1);
-  for (std::size_t w = 1; w < threads_; ++w)
-    helpers_.emplace_back(&worker_pool::helper_loop, this, w);
-}
-
-worker_pool::~worker_pool() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  start_cv_.notify_all();
-  for (std::thread& th : helpers_) th.join();
-}
-
-void worker_pool::helper_loop(std::size_t worker) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(std::size_t)>* fn;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock,
-                     [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-      fn = fn_;
-    }
-    try {
-      (*fn)(worker);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (first_error_ == nullptr) first_error_ = std::current_exception();
-    }
-    bool last;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      last = --running_ == 0;
-    }
-    if (last) done_cv_.notify_all();
-  }
-}
-
-void worker_pool::run(const std::function<void(std::size_t)>& fn) {
-  if (threads_ == 1) {
-    fn(0);
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    fn_ = &fn;
-    running_ = threads_ - 1;
-    first_error_ = nullptr;
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  std::exception_ptr caller_error;
-  try {
-    fn(0);
-  } catch (...) {
-    caller_error = std::current_exception();
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return running_ == 0; });
-    if (first_error_ == nullptr) first_error_ = caller_error;
-    if (first_error_ != nullptr) {
-      std::exception_ptr err = std::exchange(first_error_, nullptr);
-      lock.unlock();
-      std::rethrow_exception(err);
-    }
-  }
-}
 
 sweep_result parallel_sweep(
     std::size_t job_count,
@@ -125,17 +55,22 @@ sweep_result parallel_sweep(
     }
   };
 
-  if (workers == 1) {
-    // Serial fast path: no thread spawn, exceptions propagate directly —
-    // and a debugger sees the job frames on the calling thread.
-    worker_loop(0);
-  } else {
-    // One fork/join round over a fresh pool; jobs balance through the
-    // shared claim counter.  worker_loop never throws (it records into
-    // first_error itself), so pool.run's own rethrow path stays idle.
-    worker_pool pool(workers);
-    pool.run(worker_loop);
+  // The caller is worker 0 — with one worker that is the whole sweep, no
+  // thread spawn, and a debugger sees the job frames on the calling thread.
+  // worker_loop never throws (it records into first_error itself), so every
+  // helper that started reaches the join.
+  std::vector<std::thread> helpers;
+  helpers.reserve(workers - 1);
+  try {
+    for (std::size_t w = 1; w < workers; ++w)
+      helpers.emplace_back(worker_loop, w);
+  } catch (const std::system_error&) {
+    // Out of threads: the helpers that started and the caller still claim
+    // every job.
+    result.workers = helpers.size() + 1;
   }
+  worker_loop(0);
+  for (std::thread& th : helpers) th.join();
 
   const auto elapsed = std::chrono::steady_clock::now() - start;
   result.wall_ms = std::chrono::duration<double, std::milli>(elapsed).count();

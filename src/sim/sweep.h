@@ -6,7 +6,7 @@
 // a fully independent execution — are embarrassingly parallel: every job
 // builds its own scheduler, discovery_run, and network, so no simulator
 // state is shared.  parallel_sweep() is the one blessed way to exploit that:
-// it owns the thread pool, hands each job a stable worker index (for
+// it owns the worker threads, hands each job a stable worker index (for
 // per-worker scratch state), and guarantees the job function is invoked
 // exactly once per job index, so callers can write results into a pre-sized
 // vector slot per job and read them back in deterministic order afterwards.
@@ -25,57 +25,10 @@
 // workers — the same property the event queue gives a single run.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace asyncrd::sim {
-
-/// Persistent thread team for repeated fork/join sections.  The calling
-/// thread participates as worker 0 and `size() - 1` helper threads park on
-/// a condition variable between rounds, so a round-trip costs two notifies
-/// instead of thread spawns — cheap enough to run once per simulation
-/// window (the parallel engine fires thousands of rounds per run), while
-/// parallel_sweep uses one round for a whole sweep.
-///
-/// Threads persist across rounds, so thread-local state (the message pool)
-/// warms up once and stays warm.
-class worker_pool {
- public:
-  /// `threads` total workers (>= 1); `threads - 1` helpers are spawned.
-  explicit worker_pool(std::size_t threads);
-  ~worker_pool();
-
-  worker_pool(const worker_pool&) = delete;
-  worker_pool& operator=(const worker_pool&) = delete;
-
-  std::size_t size() const noexcept { return threads_; }
-
-  /// Runs fn(worker) for every worker in [0, size()), the caller executing
-  /// index 0, and returns when all of them finished.  If any worker threw,
-  /// the first exception (by completion order) is rethrown here after the
-  /// join — the others' work still ran to whatever point it reached.
-  void run(const std::function<void(std::size_t)>& fn);
-
- private:
-  void helper_loop(std::size_t worker);
-
-  std::size_t threads_;
-  std::vector<std::thread> helpers_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::uint64_t generation_ = 0;
-  std::size_t running_ = 0;
-  bool shutdown_ = false;
-  std::exception_ptr first_error_;
-};
 
 /// What a sweep did, for telemetry/bench reporting.
 struct sweep_result {
@@ -95,7 +48,8 @@ struct sweep_result {
 
 /// Runs `fn(job, worker)` for every job in [0, job_count), fanned across up
 /// to `max_workers` threads (0 = std::thread::hardware_concurrency, min 1).
-/// Blocks until every job finished.  Jobs are claimed from a shared atomic
+/// The calling thread is worker 0; `workers - 1` more threads are spawned
+/// and joined before returning.  Jobs are claimed from a shared atomic
 /// counter, so long and short jobs balance automatically.
 ///
 /// Exceptions: a throwing job terminates the sweep with the first exception

@@ -1,8 +1,7 @@
 // Trace-derived parallelism profile: how much concurrency a run contains.
 //
-// ROADMAP item 1 wants to shard a single run across worker threads.  The
-// causal trace already encodes the answer to "is that worth doing": two
-// activations at the same virtual time are causally independent (every
+// Would sharding a single run across worker threads pay?  The causal trace
+// already encodes the answer: two activations at the same virtual time are causally independent (every
 // channel delay is >= 1 time unit, so neither can have caused the other),
 // which makes the number of activations per virtual-time bucket — the
 // *width* — exactly the number of events a parallel scheduler could run
@@ -16,7 +15,11 @@
 //     (the classic Chandy–Misra null-message bound).
 //
 // Computed offline from tracer output (or a reloaded Perfetto trace) by
-// trace_analyze --parallelism; emitted as BENCH_parallelism.json.
+// trace_analyze --parallelism; emitted as BENCH_parallelism.json.  Those
+// profiles are why the simulator has one serial event loop: most ticks
+// hold a single activation and every link's lookahead is 1, so a
+// window-per-tick parallel engine pays a barrier per event and measured
+// slower than the serial loop (EXPERIMENTS.md, "Single-run parallelism").
 #pragma once
 
 #include <cstdint>

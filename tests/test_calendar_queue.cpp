@@ -135,66 +135,5 @@ TEST(CalendarQueueDeathTest, PushIntoThePastAborts) {
   EXPECT_DEATH(q.push({2, 999}), "scheduled in the past");
 }
 
-TEST(CalendarQueue, PeekTimeReportsEarliestTickWithoutPopping) {
-  queue_t q;
-  q.push({7, 0});
-  q.push({3, 1});
-  q.push({3, 2});
-  EXPECT_EQ(q.peek_time(), 3u);
-  EXPECT_EQ(q.size(), 3u);  // nothing consumed
-  EXPECT_EQ(q.pop().seq, 1u);
-  EXPECT_EQ(q.pop().seq, 2u);
-  EXPECT_EQ(q.peek_time(), 7u);
-}
-
-TEST(CalendarQueue, DrainNextRemovesWholeTickInSeqOrder) {
-  queue_t q;
-  q.push({5, 10});
-  q.push({5, 11});
-  q.push({6, 12});
-  q.push({5, 13});
-  std::vector<ev> out;
-  EXPECT_EQ(q.drain_next(out), 5u);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].seq, 10u);
-  EXPECT_EQ(out[1].seq, 11u);
-  EXPECT_EQ(out[2].seq, 13u);
-  EXPECT_EQ(q.size(), 1u);
-  out.clear();
-  EXPECT_EQ(q.drain_next(out), 6u);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].seq, 12u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, DrainNextAfterPartialPopYieldsTheRemainder) {
-  queue_t q;
-  for (std::uint64_t s = 0; s < 4; ++s) q.push({9, s});
-  EXPECT_EQ(q.pop().seq, 0u);  // partial consumption of the tick
-  std::vector<ev> out;
-  EXPECT_EQ(q.drain_next(out), 9u);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].seq, 1u);
-  EXPECT_EQ(out[2].seq, 3u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, DrainNextMigratesOverflowedEventsFirst) {
-  queue_t q(/*window_log2=*/3);  // 8-tick window
-  q.push({0, 0});
-  q.push({20, 1});  // far future: parks in the heap
-  q.push({20, 2});
-  EXPECT_EQ(q.overflowed(), 2u);
-  std::vector<ev> out;
-  EXPECT_EQ(q.drain_next(out), 0u);
-  out.clear();
-  // Ring drained: settle jumps to the heap events and drains the full tick.
-  EXPECT_EQ(q.drain_next(out), 20u);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].seq, 1u);
-  EXPECT_EQ(out[1].seq, 2u);
-  EXPECT_TRUE(q.empty());
-}
-
 }  // namespace
 }  // namespace asyncrd

@@ -81,8 +81,8 @@ TEST(MessagePool, CrossThreadFreeMigratesNotCorrupts) {
 }
 
 TEST(MessagePool, ThreadByteCapSpillsOverflowToGlobalReclaim) {
-  // Regression for the parallel engine's one-way free flow: without the
-  // per-thread byte cap the freeing thread's cache grew without bound.
+  // A one-way free flow (one thread allocates, another frees) must not grow
+  // the freeing thread's cache without bound: the per-thread byte cap spills.
   sim::pool_detail::trim();
   sim::pool_detail::trim_global();
   constexpr std::size_t block = 512;  // largest size class

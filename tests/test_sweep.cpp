@@ -31,15 +31,24 @@ TEST(ParallelSweep, EveryJobRunsExactlyOnce) {
 }
 
 TEST(ParallelSweep, WorkerIndicesAreInRange) {
-  std::atomic<std::size_t> max_worker{0};
-  const auto sw =
-      sim::parallel_sweep(64, [&](std::size_t, std::size_t worker) {
-        std::size_t cur = max_worker.load(std::memory_order_relaxed);
-        while (worker > cur &&
-               !max_worker.compare_exchange_weak(cur, worker)) {
-        }
-      });
-  EXPECT_LT(max_worker.load(), sw.workers);
+  // Hardware concurrency, then a fixed 4 workers: the latter spawns helper
+  // threads even on a 1-core host.
+  for (const std::size_t max_workers : {std::size_t{0}, std::size_t{4}}) {
+    std::atomic<std::size_t> max_worker{0};
+    const auto sw = sim::parallel_sweep(
+        64,
+        [&](std::size_t, std::size_t worker) {
+          std::size_t cur = max_worker.load(std::memory_order_relaxed);
+          while (worker > cur &&
+                 !max_worker.compare_exchange_weak(cur, worker)) {
+          }
+        },
+        max_workers);
+    if (max_workers != 0) {
+      EXPECT_EQ(sw.workers, max_workers);
+    }
+    EXPECT_LT(max_worker.load(), sw.workers);
+  }
 }
 
 TEST(ParallelSweep, ZeroJobsIsANoop) {
@@ -51,7 +60,7 @@ TEST(ParallelSweep, ZeroJobsIsANoop) {
 }
 
 TEST(ParallelSweep, MaxWorkersOneRunsSerially) {
-  // With one worker, jobs run in index order on the calling pool thread —
+  // With one worker, jobs run in index order on the calling thread —
   // the degenerate case every sweep must degrade to on a 1-core host.
   std::vector<std::size_t> order;
   const auto sw = sim::parallel_sweep(

@@ -67,6 +67,7 @@ struct bench_file {
   /// Label -> row, in file order for stable reporting.
   std::vector<std::pair<std::string, bench_row>> rows;
   std::string git_sha, build_type, compiler, host;
+  double cores = 0.0;  ///< 0 = not recorded (provenance schema 1)
 };
 
 struct tolerances {
@@ -156,6 +157,8 @@ std::optional<bench_file> load(const std::string& path, int& code) {
     f.build_type = str("build_type");
     f.compiler = str("compiler");
     f.host = str("host");
+    if (const json_value* v = prov->find("cores"); v != nullptr && v->is_number())
+      f.cores = v->as_number();
   }
   return f;
 }
@@ -167,10 +170,11 @@ int diff(const std::string& base_path, const bench_file& base,
   std::cout << "== " << base.bench << ": " << base_path << " -> " << cur_path
             << " ==\n";
   if (base.git_sha != cur.git_sha || base.build_type != cur.build_type ||
-      base.compiler != cur.compiler) {
+      base.compiler != cur.compiler || base.cores != cur.cores) {
     std::cout << "provenance: " << base.git_sha << "/" << base.build_type
-              << "/" << base.compiler << " -> " << cur.git_sha << "/"
-              << cur.build_type << "/" << cur.compiler << '\n';
+              << "/" << base.compiler << "/" << base.cores << " cores -> "
+              << cur.git_sha << "/" << cur.build_type << "/" << cur.compiler
+              << "/" << cur.cores << " cores\n";
   }
   bool ok = true;
   if (base.bench != cur.bench) {

@@ -307,14 +307,19 @@ bool check_wire(const std::string& path, const json_value& wire,
   return ok;
 }
 
-/// "provenance": {"schema", "git_sha", "build_type", "compiler", "host"} —
-/// the shared stamp bench_report.h writes into every BENCH_*.json.
+/// "provenance": {"schema", "git_sha", "build_type", "compiler", "host",
+/// "cores"} — the shared stamp bench_report.h writes into every
+/// BENCH_*.json.
 bool check_provenance(const std::string& path, const json_value& prov) {
   if (!prov.is_object())
     return complain(path, prov.offset, "\"provenance\" is not an object");
   bool ok = true;
-  if (const json_value* v = prov.find("schema"); v == nullptr || !v->is_number())
-    ok = complain(path, prov.offset, "provenance missing numeric \"schema\"");
+  for (const char* k : {"schema", "cores"}) {
+    const json_value* v = prov.find(k);
+    if (v == nullptr || !v->is_number())
+      ok = complain(path, prov.offset,
+                    "provenance missing numeric \"" + std::string(k) + "\"");
+  }
   for (const char* k : {"git_sha", "build_type", "compiler", "host"}) {
     const json_value* v = prov.find(k);
     if (v == nullptr || !v->is_string())
@@ -465,7 +470,7 @@ void print_help(std::ostream& os) {
         "Validates telemetry JSON (see docs/OBSERVABILITY.md):\n"
         "  --bench   bench reports (default): required key set plus the\n"
         "            provenance stamp {schema, git_sha, build_type,\n"
-        "            compiler, host}\n"
+        "            compiler, host, cores}\n"
         "  --report  run reports: known report_version, required keys,\n"
         "            series sample times strictly increasing with\n"
         "            equal-length columns, watchdog shape, profile shape\n"

@@ -40,6 +40,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_report.h"
@@ -218,6 +219,7 @@ int main(int argc, char** argv) {
 
     // Drains pending control-socket datagrams into the child table.
     std::vector<core::member_state> members;
+    std::unordered_set<node_id> member_ids;  ///< ids already in `members`
     const auto drain = [&]() {
       for (;;) {
         const std::ptrdiff_t got =
@@ -262,11 +264,10 @@ int main(int argc, char** argv) {
               r.expect_end();
               for (const std::uint64_t v : done)
                 m.done.push_back(static_cast<node_id>(v));
-              // Idempotent finalize: children re-send on every dg_finalize.
-              const auto dup = std::find_if(
-                  members.begin(), members.end(),
-                  [&](const core::member_state& e) { return e.id == m.id; });
-              if (dup == members.end()) members.push_back(std::move(m));
+              // Idempotent finalize: children re-send on every dg_finalize,
+              // so the first copy of each node's state wins.
+              if (member_ids.insert(m.id).second)
+                members.push_back(std::move(m));
               break;
             }
             case net::dg_state_end: {
