@@ -248,8 +248,7 @@ void network::take_step(const manual_step& s) {
   if (ci == npos || channels_[ci].queue.empty())
     throw std::invalid_argument("take_step: channel empty");
   channel& ch = channels_[ci];
-  queued_msg q = std::move(ch.queue.front());
-  ch.queue.pop_front();
+  queued_msg q = ch.queue.pop_front();
   if (ch.unscheduled > 0) --ch.unscheduled;
   --in_flight_;
   const std::uint32_t to_index = ch.to_index;
@@ -283,26 +282,27 @@ void network::unblock_sender(node_id id) {
   // The release is itself a causal fact: the adversary observed quiescence
   // (or the current activation) before letting these messages through.
   const std::uint64_t released_by = current_anchor();
-  // slot.out is sorted by destination id, so held channels release in the
-  // same (from, to) order the std::map implementation produced.
-  for (const std::uint32_t ci : slots_[idx].out) {
-    if (channels_[ci].unscheduled == 0) continue;
+  // slot.out is in creation order.  Release the held channels by
+  // destination id — the (from, to) order the std::map implementation
+  // produced — so seq numbers and scheduler draws do not depend on the
+  // order in which the sender happened to open its channels.
+  std::vector<std::uint32_t> held_channels;
+  for (const std::uint32_t ci : slots_[idx].out)
+    if (channels_[ci].unscheduled > 0) held_channels.push_back(ci);
+  std::sort(held_channels.begin(), held_channels.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return channels_[a].to < channels_[b].to;
+            });
+  for (const std::uint32_t ci : held_channels) {
     // Pull the held tail out of the queue, then put each message on the
     // wire through the same choke point scheduled sends use — so release is
     // the second fault-injection point, and each held message gets its own
     // delivery event, delayed according to *that* message (a
     // message-dependent scheduler must never be shown the channel head for
     // every event).
-    std::vector<queued_msg> held;
-    {
-      channel& ch = channels_[ci];
-      held.reserve(ch.unscheduled);
-      for (std::size_t i = ch.queue.size() - ch.unscheduled;
-           i < ch.queue.size(); ++i)
-        held.push_back(std::move(ch.queue[i]));
-      ch.queue.resize(ch.queue.size() - held.size());
-      ch.unscheduled = 0;
-    }
+    std::vector<queued_msg> held =
+        channels_[ci].queue.take_tail(channels_[ci].unscheduled);
+    channels_[ci].unscheduled = 0;
     for (queued_msg& q : held) {
       q.released_in = released_by;
       schedule_transmission(ci, std::move(q), /*counted=*/true);
@@ -518,14 +518,7 @@ std::uint32_t network::channel_of(std::uint32_t from, std::uint32_t to) {
     channels_.back().fault_rng = rng(mix64(
         plan_.seed ^ fault_stream_salt ^ pack(slots_[from].id, slots_[to].id)));
   channel_index_.insert(key, ci);
-  // Insertion-sort into the sender's out-list by destination id: the list
-  // is consulted in id order by block/unblock (determinism) and stays tiny
-  // (out-degree of the knowledge graph).
-  auto& out = slots_[from].out;
-  const node_id to_id = slots_[to].id;
-  auto it = out.begin();
-  while (it != out.end() && channels_[*it].to < to_id) ++it;
-  out.insert(it, ci);
+  slots_[from].out.push_back(ci);
   return ci;
 }
 
@@ -579,8 +572,7 @@ void network::dispatch(const event& ev) {
       assert(!ch.queue.empty());
       // FIFO: a delivery event always releases the channel head, regardless
       // of which send created the event.
-      queued_msg q = std::move(ch.queue.front());
-      ch.queue.pop_front();
+      queued_msg q = ch.queue.pop_front();
       --in_flight_;
       const node_id from = ch.from;
       const node_id to = ch.to;

@@ -93,21 +93,87 @@ TEST(Network, MessageDeliveryWakesSleepingReceiver) {
 }
 
 TEST(Network, BlockedSenderHoldsTrafficUntilUnblocked) {
-  sim::unit_delay_scheduler sched;
+  // The 200-message backlog drains one channel's FIFO through both of its
+  // buffer-reuse paths: compaction once the head passes half the buffer,
+  // and the rewind when the last message leaves.
+  for (const int count : {3, 200}) {
+    SCOPED_TRACE(count);
+    sim::unit_delay_scheduler sched;
+    sim::network net(sched);
+    net.add_node(1, std::make_unique<burst_process>(2, count));
+    auto rec = std::make_unique<recorder_process>();
+    auto* rec_ptr = rec.get();
+    net.add_node(2, std::move(rec));
+    net.block_sender(1);
+    net.wake(1);
+    net.run_to_quiescence();
+    EXPECT_TRUE(rec_ptr->received.empty());
+    EXPECT_EQ(net.in_flight(), static_cast<std::uint64_t>(count));
+    net.unblock_sender(1);
+    net.run_to_quiescence();
+    ASSERT_EQ(rec_ptr->received.size(), static_cast<size_t>(count));
+    for (int i = 0; i < count; ++i)
+      EXPECT_EQ(rec_ptr->received[static_cast<size_t>(i)].second, i);
+    EXPECT_TRUE(net.channels_empty());
+  }
+}
+
+/// Sends two tagged messages to each destination, interleaved: on wake it
+/// sends one message to every destination in list order, then a second
+/// round.  Values are 10 * destination + round.
+class fanout_process final : public sim::process {
+ public:
+  explicit fanout_process(std::vector<node_id> to) : to_(std::move(to)) {}
+  void on_wake(sim::context& ctx) override {
+    for (int round = 0; round < 2; ++round)
+      for (const node_id v : to_)
+        ctx.send(v, sim::make_message<tag_msg>(static_cast<int>(10 * v) + round));
+  }
+  void on_message(sim::context&, node_id, const sim::message_ptr&) override {}
+
+ private:
+  std::vector<node_id> to_;
+};
+
+// A sender's channels are listed in creation order; unblock_sender must
+// still release its held channels in destination-id order, each channel in
+// FIFO order, as the scheduler sees them and as they are delivered.
+TEST(Network, UnblockReleasesHeldChannelsInDestinationOrder) {
+  class recording_delay final : public sim::scheduler {
+   public:
+    sim::sim_time delay(node_id, node_id to, const sim::message& m) override {
+      seen.emplace_back(to, static_cast<const tag_msg&>(m).value);
+      return 1;
+    }
+    std::vector<std::pair<node_id, int>> seen;
+  };
+  class delivery_log final : public sim::observer {
+   public:
+    void on_deliver(sim::sim_time, node_id, node_id to,
+                    const sim::message& m) override {
+      delivered.emplace_back(to, static_cast<const tag_msg&>(m).value);
+    }
+    std::vector<std::pair<node_id, int>> delivered;
+  };
+  recording_delay sched;
   sim::network net(sched);
-  net.add_node(1, std::make_unique<burst_process>(2, 3));
-  auto rec = std::make_unique<recorder_process>();
-  auto* rec_ptr = rec.get();
-  net.add_node(2, std::move(rec));
+  net.add_node(1, std::make_unique<fanout_process>(std::vector<node_id>{5, 3, 4}));
+  for (const node_id v : {3u, 4u, 5u})
+    net.add_node(v, std::make_unique<recorder_process>());
+  delivery_log log;
+  net.add_observer(&log);
   net.block_sender(1);
   net.wake(1);
   net.run_to_quiescence();
-  EXPECT_TRUE(rec_ptr->received.empty());
-  EXPECT_FALSE(net.channels_empty());
+  EXPECT_TRUE(sched.seen.empty());
+  EXPECT_EQ(net.in_flight(), 6u);
+
   net.unblock_sender(1);
+  const std::vector<std::pair<node_id, int>> expected{
+      {3, 30}, {3, 31}, {4, 40}, {4, 41}, {5, 50}, {5, 51}};
+  EXPECT_EQ(sched.seen, expected);
   net.run_to_quiescence();
-  ASSERT_EQ(rec_ptr->received.size(), 3u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(rec_ptr->received[static_cast<size_t>(i)].second, i);
+  EXPECT_EQ(log.delivered, expected);
   EXPECT_TRUE(net.channels_empty());
 }
 
