@@ -39,29 +39,20 @@ int main(int argc, char** argv) {
     std::size_t n;
     core::variant v;
     const char* name;
-    bool wire = false;
   };
   const std::vector<job> jobs = {
       {1000, core::variant::generic, "generic"},
       {10000, core::variant::generic, "generic"},
       {10000, core::variant::bounded, "bounded"},
       {10000, core::variant::adhoc, "adhoc"},
-      // Wire-codec rows: the same executions with every message encoded to
-      // its binary frame at the send choke point and decoded zero-copy at
-      // delivery.  Tracked next to the struct rows so the codec's hot-path
-      // cost (or win) is a gated first-class metric, at 10k and at the
-      // 100k scale where the pooled-frame footprint matters most.
-      {10000, core::variant::generic, "generic_wire", true},
-      {100000, core::variant::generic, "generic_wire", true},
   };
 
   // Each configuration is a deterministic execution (same events every
   // rep); only host scheduling varies the wall clock.  Best-of-N is the
   // standard way to measure the code rather than the host's noise floor.
-  // Message-pool peak occupancy is recorded per configuration through the
-  // same registry gauge the run reports use (telemetry::record_pool) —
-  // struct-mode id vectors and wire-mode frames are both pool-backed, so
-  // the struct-vs-wire gauge delta is the codec's real footprint change.
+  // Message-pool peak occupancy (messages and their pooled id vectors) is
+  // recorded per configuration through the same registry gauge the run
+  // reports use (telemetry::record_pool).
   constexpr int reps = 3;
   telemetry::registry pool_reg;
   for (const job& j : jobs) {
@@ -76,7 +67,6 @@ int main(int argc, char** argv) {
       core::config cfg;
       cfg.algo = j.v;
       core::discovery_run run(g, cfg, sched);
-      if (j.wire) run.enable_wire();
       run.wake_all();
       const auto r = run.run();
       completed = completed && r.completed;
@@ -89,7 +79,7 @@ int main(int argc, char** argv) {
       }
     }
     all_ok = all_ok && completed;
-    if (j.n == 10000 && j.v == core::variant::generic && !j.wire)
+    if (j.n == 10000 && j.v == core::variant::generic)
       headline = best_eps;
     const std::string label =
         std::string(j.name) + "_" + std::to_string(j.n);
@@ -101,17 +91,6 @@ int main(int argc, char** argv) {
     t.add_row({std::to_string(j.n), j.name, std::to_string(events),
                fmt_double(wall_ms), fmt_double(best_eps)});
   }
-  // The headline footprint comparison: peak pooled bytes of the 10k run,
-  // struct mode vs wire mode (>1.0 means the codec shrank the resident
-  // footprint).
-  {
-    const double s =
-        pool_reg.get_gauge("pool.generic_10000.peak_bytes").value();
-    const double w =
-        pool_reg.get_gauge("pool.generic_wire_10000.peak_bytes").value();
-    if (w > 0.0) rep.note("pool_peak_struct_over_wire_10k", s / w);
-  }
-
   // Parallel seed sweep over the same 1k topology: total events dispatched
   // across all workers divided by sweep wall time.  On multi-core hosts this
   // exceeds the single-run rate; on 1 core it degrades gracefully to it.

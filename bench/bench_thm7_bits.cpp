@@ -1,10 +1,11 @@
 // Theorem 7 (+ Lemmas 5.9, 5.10): bit complexity O(|E0| log n + n log^2 n).
 //
 // Reproduction: sweep density regimes — sparse (|E0| ~ n), the paper's
-// interesting regime (|E0| ~ n log n), and dense (|E0| ~ n sqrt n) — with
-// the binary wire codec enabled, and audit the bytes the transport really
-// carried (network::wire_bytes_sent: headers, varints, delta sets — every
-// byte a socket would see) against the theorem's envelope stated in bytes.
+// interesting regime (|E0| ~ n log n), and dense (|E0| ~ n sqrt n) — and
+// audit the bytes a socket would carry: an observer encodes every sent
+// message into its wire frame (core::wire::encode: header, varints, delta
+// sets) and sums the frame sizes, which are checked against the theorem's
+// envelope stated in bytes.
 // The two per-type bit lemmas are still checked on the paper's O(log n)
 // field accounting: query-reply bits <= 2 |E0| log n and info bits
 // <= 4 n log^2 n.
@@ -22,17 +23,42 @@
 // measured <= bound tolerance-free, so the measured/bound ratio staying
 // below 1 across all nine density cells is a hard CI invariant.
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "bench_report.h"
 #include "common/bitmath.h"
 #include "common/table.h"
+#include "core/messages.h"
 #include "core/runner.h"
 #include "graph/topology.h"
 #include "sim/scheduler.h"
 
+namespace {
+
+using namespace asyncrd;
+
+/// Sums the encoded frame size of every transmission.  Every routing hop is
+/// a transmission of its own, so a forwarded message counts again.
+class frame_bytes final : public sim::observer {
+ public:
+  void on_send(sim::sim_time, node_id, node_id,
+               const sim::message& m) override {
+    frame_.clear();
+    core::wire::encode(m, frame_);
+    bytes_ += frame_.size();
+  }
+  std::uint64_t bytes() const noexcept { return bytes_; }
+
+ private:
+  std::vector<std::uint8_t> frame_;
+  std::uint64_t bytes_ = 0;
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace asyncrd;
   std::cout << "== Theorem 7: wire bytes vs O(|E0| log n + n log^2 n) ==\n\n";
 
   bench::reporter rep("thm7_bits", argc, argv);
@@ -44,16 +70,16 @@ int main(int argc, char** argv) {
   const auto row = [&](const std::string& name, const graph::digraph& g) {
     sim::random_delay_scheduler sched(5);
     core::config cfg;
+    frame_bytes audit;
     core::discovery_run run(g, cfg, sched);
-    run.enable_wire();
+    run.net().add_observer(&audit);
     run.wake_all();
     const auto r = run.run();
     all_ok = all_ok && r.completed;
     const double n = static_cast<double>(g.node_count());
     const double e0 = static_cast<double>(g.edge_count());
     const double lg = static_cast<double>(ceil_log2(g.node_count()));
-    const double wire_bytes =
-        static_cast<double>(run.net().wire_bytes_sent());
+    const double wire_bytes = static_cast<double>(audit.bytes());
     const double byte_bound = (6.0 * e0 * lg + 8.0 * n * lg * lg) / 8.0;
     all_ok = all_ok && wire_bytes <= byte_bound;
     const auto& st = run.statistics();
@@ -67,7 +93,7 @@ int main(int argc, char** argv) {
     rep.merge_stats(st);
     t.add_row({name, std::to_string(g.node_count()),
                std::to_string(g.edge_count()),
-               std::to_string(run.net().wire_bytes_sent()),
+               std::to_string(audit.bytes()),
                fmt_double(byte_bound, 0), fmt_ratio(wire_bytes, byte_bound),
                std::to_string(st.total_bits()), qr_ok ? "yes" : "NO",
                info_ok ? "yes" : "NO"});

@@ -26,10 +26,6 @@
 //     --profile         arm the hot-path cost profiler: where the event
 //                       loop's cycles go, by phase and message type (adds
 //                       a "profile" block to --json and a stdout summary)
-//     --wire            encode every message into the compact binary wire
-//                       format at the send choke point (sim/wire.h); adds
-//                       a "wire" block with measured per-type bytes to
-//                       --json.  Replay is byte-identical with --wire off.
 //
 // Examples:
 //   echo "0 1
@@ -76,8 +72,7 @@ using namespace asyncrd;
       "  --series N            sample health series every N ticks\n"
       "  --watchdog W          stall watchdog, window W (trip => exit 3)\n"
       "  --flight PATH         write flight-recorder ring to PATH at exit\n"
-      "  --profile             hot-path cost attribution (in --json too)\n"
-      "  --wire                binary wire codec (measured bytes in --json)\n";
+      "  --profile             hot-path cost attribution (in --json too)\n";
   std::exit(2);
 }
 
@@ -150,7 +145,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::string gen_spec, input, json_path, trace_path, chaos_spec, flight_path;
   std::uint64_t series_interval = 0, watchdog_window = 0;
-  bool want_dot = false, quiet = false, profile = false, wire = false;
+  bool want_dot = false, quiet = false, profile = false;
   node_id probe_from = invalid_node;
 
   for (int i = 1; i < argc; ++i) {
@@ -172,7 +167,6 @@ int main(int argc, char** argv) {
     else if (a == "--watchdog") watchdog_window = num_u64(a, next());
     else if (a == "--flight") flight_path = next();
     else if (a == "--profile") profile = true;
-    else if (a == "--wire") wire = true;
     else if (a == "--version") {
       std::cout << "asyncrd " << asyncrd::version << '\n';
       return 0;
@@ -226,10 +220,7 @@ int main(int argc, char** argv) {
     opts.watchdog.abort_on_trip = true;
     if (!flight_path.empty()) opts.flight_capacity = 4096;
     opts.profile = profile;
-    opts.wire = wire;
     rec = std::make_unique<telemetry::run_recorder>(run, opts);
-  } else if (wire) {
-    run.enable_wire();
   }
   std::unique_ptr<telemetry::tracer> tr;
   if (!trace_path.empty()) {
@@ -298,9 +289,6 @@ int main(int argc, char** argv) {
   std::cout << "messages: " << run.statistics().total_messages()
             << "  bits: " << run.statistics().total_bits()
             << "  time: " << run.net().now() << '\n';
-  if (wire)
-    std::cout << "wire: " << run.net().wire_frames() << " frames, "
-              << run.net().wire_bytes_sent() << " bytes\n";
   if (!quiet) {
     for (const auto& [type, st] : run.statistics().by_type())
       std::cout << "  " << type << ": " << st.count << " msgs, " << st.bits

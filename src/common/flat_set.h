@@ -70,16 +70,29 @@ class flat_set {
   }
 
   /// Bulk insert: one merge, regardless of how the ranges interleave.
-  /// The input need not be sorted or unique.
+  /// The input need not be sorted or unique.  The incoming values are
+  /// sorted in a per-thread scratch vector, the set grows by their count,
+  /// and the two sorted runs merge backward from their tails into the grown
+  /// storage, so no call allocates a temporary merge buffer.
   template <typename It>
   void insert(It first, It last) {
     if (first == last) return;
-    const std::size_t old = data_.size();
-    data_.insert(data_.end(), first, last);
-    std::sort(data_.begin() + static_cast<std::ptrdiff_t>(old), data_.end());
-    std::inplace_merge(data_.begin(),
-                       data_.begin() + static_cast<std::ptrdiff_t>(old),
-                       data_.end());
+    // Safe to share: insert never re-enters itself.
+    static thread_local std::vector<T> in;
+    in.assign(first, last);
+    std::sort(in.begin(), in.end());
+    const auto old_end = static_cast<std::ptrdiff_t>(data_.size());
+    data_.resize(data_.size() + in.size());
+    auto a = data_.begin() + old_end;  // one past the last unmerged old value
+    auto b = in.end();                 // one past the last unmerged new value
+    auto out = data_.end();
+    // Once the new values run out, the old ones left are already in place.
+    while (b != in.begin()) {
+      if (a != data_.begin() && *(a - 1) > *(b - 1))
+        *--out = *--a;
+      else
+        *--out = *--b;
+    }
     data_.erase(std::unique(data_.begin(), data_.end()), data_.end());
   }
 

@@ -11,16 +11,15 @@
 
 #include "common/ids.h"
 #include "sim/message.h"
-#include "sim/wire.h"
 
 namespace asyncrd::core {
 
 /// Phase counter.  Grows like a union-by-rank rank: never exceeds log2 n.
 using phase_t = std::uint32_t;
 
-/// Id-set payload storage.  Pool-allocated so that struct-mode id sets are
-/// visible to the message pool's byte accounting — the footprint comparison
-/// against wire mode (encoded frames in the same pool) stays honest.
+/// Id-set payload storage.  Pool-allocated, so id sets count in the message
+/// pool's byte accounting (sim::pool_detail::stats) like the messages that
+/// carry them.
 using id_vec = std::vector<node_id, sim::pool_allocator<node_id>>;
 
 /// Dispatch tags for the core vocabulary (sim::message::dispatch_tag).
@@ -292,98 +291,21 @@ struct report_ack_msg final : sim::message {
 //
 // Frame = header byte (sim::wire::wire_bit | tag_of(kind)), then the
 // message's scalar fields as varints in declaration order (booleans and
-// enums as one byte), then its id sets as varint delta sets.  The typed
-// *_view structs below mirror the struct messages' field names, so node
-// handlers templated over a "field carrier" accept either representation;
-// id-set fields decode to sim::wire::id_set_view — iterated in place, never
-// materialized.
+// enums as one byte), then its id sets as varint delta sets.  Frames exist
+// only at the process boundary: net::node_host encodes each remote send,
+// and net::udp_transport decodes each arriving frame back into its struct.
 
 namespace asyncrd::core::wire {
 
-/// Encoder table for all 13 core message types, applied by the network at
-/// the send choke point (sim::network::set_wire_codec).
-const sim::wire_codec& codec() noexcept;
+/// Appends the frame of core message `m` to `out`.  Throws std::logic_error
+/// if `m` is not one of the 13 core types.
+void encode(const sim::message& m, std::vector<std::uint8_t>& out);
 
-struct query_view {
-  std::size_t requested;
-};
-struct query_reply_view {
-  sim::wire::id_set_view ids;
-  bool done_flag;
-};
-struct search_view {
-  node_id initiator;
-  phase_t initiator_phase;
-  node_id target;
-  bool new_flag;
-};
-struct release_view {
-  node_id from_leader;
-  phase_t from_phase;
-  release_msg::answer_t answer;
-  node_id initiator;
-};
-struct merge_accept_view {
-  node_id conqueror;
-  phase_t conqueror_phase;
-};
-struct info_view {
-  phase_t phase;
-  sim::wire::id_set_view more;
-  sim::wire::id_set_view done;
-  sim::wire::id_set_view unaware;
-  sim::wire::id_set_view unexplored;
-};
-struct conquer_view {
-  node_id leader;
-  phase_t phase;
-};
-struct member_reply_view {
-  bool has_more;
-};
-struct probe_view {
-  node_id requester;
-};
-struct probe_reply_view {
-  node_id leader;
-  phase_t leader_phase;
-  node_id requester;
-  sim::wire::id_set_view census;
-};
-struct report_view {
-  node_id reporter;
-};
-struct report_ack_view {
-  node_id leader;
-  phase_t leader_phase;
-  node_id reporter;
-};
-
-// Zero-copy decoders: each checks the frame's inner tag, parses the payload
-// with bounds checks, and throws sim::wire::decode_error on any malformed
-// input (truncation, bad tag, unsorted deltas, trailing bytes).
-query_view decode_query(const sim::wire_msg& w);
-query_reply_view decode_query_reply(const sim::wire_msg& w);
-search_view decode_search(const sim::wire_msg& w);
-release_view decode_release(const sim::wire_msg& w);
-merge_accept_view decode_merge_accept(const sim::wire_msg& w);
-info_view decode_info(const sim::wire_msg& w);
-conquer_view decode_conquer(const sim::wire_msg& w);
-member_reply_view decode_member_reply(const sim::wire_msg& w);
-probe_view decode_probe(const sim::wire_msg& w);
-probe_reply_view decode_probe_reply(const sim::wire_msg& w);
-report_view decode_report(const sim::wire_msg& w);
-report_ack_view decode_report_ack(const sim::wire_msg& w);
-
-/// type_name of the core message with inner tag `tag` ("" if the tag is not
-/// in the vocabulary).  Static storage duration — safe to hand to the
-/// raw-frame sim::wire_msg constructor.
-std::string_view tag_name(std::uint8_t tag) noexcept;
-
-/// Full validation of one encoded frame (header byte included) as received
-/// off a socket: known inner tag, payload parses under that tag's grammar,
-/// no trailing bytes.  Throws sim::wire::decode_error on anything hostile;
-/// a frame that passes is safe to box as a wire_msg and deliver.
-void validate_frame(const std::uint8_t* data, std::size_t len);
+/// Decodes one frame (header byte included) into its struct.  Throws
+/// sim::wire::decode_error on anything malformed: an empty frame, a header
+/// without the wire bit or with an unknown tag, an id or phase field out of
+/// range, a boolean byte other than 0/1, a bad delta set (see
+/// sim::wire::read_id_set), or bytes after the last field.
+sim::message_ptr decode(const std::uint8_t* data, std::size_t len);
 
 }  // namespace asyncrd::core::wire

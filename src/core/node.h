@@ -148,44 +148,29 @@ class node final : public sim::process {
   void wake_body(sim::context& ctx);
 
   // -- message dispatch ------------------------------------------------------
-  //
-  // Every handler that can receive an id set is a member template over a
-  // "field carrier": the struct message and its wire view (core::wire)
-  // share field names, so one definition serves both representations and
-  // the wire path iterates encoded delta sets in place — no vector is
-  // materialized on delivery.  Templates are defined in node.cpp; every
-  // instantiation happens there too.
   bool accepts(const sim::message& m) const;
   /// The status-only part of accepts() — every kind whose answer needs no
   /// payload peek.
   bool accepts_kind(msg_kind k) const;
-  bool accepts_release(node_id initiator) const;
-  bool accepts_probe_reply(node_id requester) const;
-  bool accepts_report_ack(node_id reporter) const;
   void handle(sim::context& ctx, node_id from, const sim::message_ptr& m);
-  /// Decodes an encoded frame (sim::wire_msg) and dispatches it through the
-  /// same handlers as the struct path.
-  void handle_wire(sim::context& ctx, node_id from, const sim::message_ptr& m);
   /// Shared search body (Fig 5 preprocessing + inactive/leader split).
   /// `original` is the delivered message — forwarded as-is on the routing
   /// path unless preprocessing flipped the new flag.
   void handle_search(sim::context& ctx, node_id from, const search_msg& s,
                      const sim::message_ptr& original);
-  void handle_release(sim::context& ctx, node_id from, const release_msg& r,
+  void handle_release(sim::context& ctx, const release_msg& r,
                       const sim::message_ptr& original);
-  template <typename PR>
-  void handle_probe_reply(sim::context& ctx, const PR& pr,
+  void handle_probe_reply(sim::context& ctx, const probe_reply_msg& pr,
                           const sim::message_ptr& original);
-  void handle_report_ack(sim::context& ctx, node_id leader, phase_t lp,
-                         node_id reporter, const sim::message_ptr& original);
+  void handle_report_ack(sim::context& ctx, const report_ack_msg& ra,
+                         const sim::message_ptr& original);
   void drain_deferred(sim::context& ctx);
 
   // -- EXPLORE (Fig 3) -------------------------------------------------------
   void enter_explore(sim::context& ctx);
   void explore_step(sim::context& ctx);
-  template <typename Ids>
-  void apply_query_reply(sim::context& ctx, node_id from, const Ids& ids,
-                         bool done_flag);
+  void apply_query_reply(sim::context& ctx, node_id from,
+                         const query_reply_msg& m);
   /// "v itself may appear in v.more, in this case v simulates the message
   /// sending internally" (§4.1).
   void self_query(std::size_t k, id_vec& out, bool& done_flag);
@@ -198,8 +183,7 @@ class node final : public sim::process {
   // -- CONQUERED / CONQUEROR (Fig 6) -------------------------------------------
   void on_merge_accept(sim::context& ctx, const merge_accept_msg& m);
   void on_merge_fail(sim::context& ctx);
-  template <typename Info>
-  void on_info(sim::context& ctx, node_id from, const Info& m);
+  void on_info(sim::context& ctx, const info_msg& m);
   void on_member_reply(sim::context& ctx, node_id from,
                        const member_reply_msg& m);
   void conquest_maybe_finished(sim::context& ctx);
@@ -228,8 +212,7 @@ class node final : public sim::process {
   /// eventually reported to (or explored by) the current leader.  Used by
   /// §6 link additions and by the refused-merge path (see node.cpp).
   void learn_id(sim::context& ctx, node_id w);
-  template <typename Ids>
-  void absorb_query_reply(node_id w, const Ids& ids, bool done_flag);
+  void absorb_query_reply(node_id w, const id_vec& ids, bool done_flag);
 
   // -- identity & configuration --
   node_id id_;

@@ -77,15 +77,6 @@ class discovery_run {
     return rl_.get();
   }
 
-  /// Arms the binary wire codec: every application send is encoded into a
-  /// compact frame at the network choke point and delivered as encoded
-  /// bytes (sim/wire.h); the network counts the frame sizes per type.
-  /// Replay semantics, stats, and traces are byte-identical with the
-  /// struct path.  Idempotent; must be called before any traffic.
-  void enable_wire() {
-    if (!net_.wire_enabled()) net_.set_wire_codec(&wire::codec());
-  }
-
   /// Schedules wake events for every node.
   void wake_all();
 

@@ -1,387 +1,235 @@
 // Binary wire codec for the core message vocabulary.  Grammar in
 // DESIGN.md §10; primitives in sim/wire.h.
 //
-// Encoders write the full frame — header byte first, then scalar fields as
+// encode writes the full frame — header byte first, then scalar fields as
 // varints in declaration order (booleans/enums as one byte), then id sets
-// as varint delta sets.  Decoders re-check everything the encoders
-// guarantee, because the same functions back the malformed-input test
-// suite (and, later, a socket backend fed by untrusted peers).
+// as varint delta sets.  decode re-checks everything encode guarantees,
+// because its input comes off a socket from peers it cannot trust.
 
 #include <limits>
+#include <stdexcept>
 
 #include "core/messages.h"
+#include "sim/wire.h"
 
 namespace asyncrd::core::wire {
 
 namespace {
 
+using sim::wire::decode_error;
 using sim::wire::put_id_set;
 using sim::wire::put_varint;
+using sim::wire::read_id_set;
 using sim::wire::reader;
 using sim::wire::wire_bit;
-
-void put_header(std::vector<std::uint8_t>& out, msg_kind k) {
-  out.push_back(static_cast<std::uint8_t>(wire_bit | tag_of(k)));
-}
 
 template <typename M>
 const M& as(const sim::message& m) {
   return static_cast<const M&>(m);
 }
 
-// --- encoders (one per type, indexed by tag in codec()) -------------------
-
-void enc_query(const sim::message& m, std::vector<std::uint8_t>& out) {
-  put_header(out, msg_kind::query);
-  put_varint(out, as<query_msg>(m).requested);
-}
-
-void enc_query_reply(const sim::message& m, std::vector<std::uint8_t>& out) {
-  const auto& q = as<query_reply_msg>(m);
-  put_header(out, msg_kind::query_reply);
-  put_id_set(out, q.ids);
-  out.push_back(q.done_flag ? 1 : 0);
-}
-
-void enc_search(const sim::message& m, std::vector<std::uint8_t>& out) {
-  const auto& s = as<search_msg>(m);
-  put_header(out, msg_kind::search);
-  put_varint(out, s.initiator);
-  put_varint(out, s.initiator_phase);
-  put_varint(out, s.target);
-  out.push_back(s.new_flag ? 1 : 0);
-}
-
-void enc_release(const sim::message& m, std::vector<std::uint8_t>& out) {
-  const auto& r = as<release_msg>(m);
-  put_header(out, msg_kind::release);
-  put_varint(out, r.from_leader);
-  put_varint(out, r.from_phase);
-  out.push_back(r.answer == release_msg::answer_t::merge ? 0 : 1);
-  put_varint(out, r.initiator);
-}
-
-void enc_merge_accept(const sim::message& m, std::vector<std::uint8_t>& out) {
-  const auto& a = as<merge_accept_msg>(m);
-  put_header(out, msg_kind::merge_accept);
-  put_varint(out, a.conqueror);
-  put_varint(out, a.conqueror_phase);
-}
-
-void enc_merge_fail(const sim::message&, std::vector<std::uint8_t>& out) {
-  put_header(out, msg_kind::merge_fail);
-}
-
-void enc_info(const sim::message& m, std::vector<std::uint8_t>& out) {
-  const auto& i = as<info_msg>(m);
-  put_header(out, msg_kind::info);
-  put_varint(out, i.phase);
-  put_id_set(out, i.more);
-  put_id_set(out, i.done);
-  put_id_set(out, i.unaware);
-  put_id_set(out, i.unexplored);
-}
-
-void enc_conquer(const sim::message& m, std::vector<std::uint8_t>& out) {
-  const auto& c = as<conquer_msg>(m);
-  put_header(out, msg_kind::conquer);
-  put_varint(out, c.leader);
-  put_varint(out, c.phase);
-}
-
-void enc_member_reply(const sim::message& m, std::vector<std::uint8_t>& out) {
-  put_header(out, msg_kind::member_reply);
-  out.push_back(as<member_reply_msg>(m).has_more ? 1 : 0);
-}
-
-void enc_probe(const sim::message& m, std::vector<std::uint8_t>& out) {
-  put_header(out, msg_kind::probe);
-  put_varint(out, as<probe_msg>(m).requester);
-}
-
-void enc_probe_reply(const sim::message& m, std::vector<std::uint8_t>& out) {
-  const auto& p = as<probe_reply_msg>(m);
-  put_header(out, msg_kind::probe_reply);
-  put_varint(out, p.leader);
-  put_varint(out, p.leader_phase);
-  put_varint(out, p.requester);
-  put_id_set(out, p.census);
-}
-
-void enc_report(const sim::message& m, std::vector<std::uint8_t>& out) {
-  put_header(out, msg_kind::report);
-  put_varint(out, as<report_msg>(m).reporter);
-}
-
-void enc_report_ack(const sim::message& m, std::vector<std::uint8_t>& out) {
-  const auto& r = as<report_ack_msg>(m);
-  put_header(out, msg_kind::report_ack);
-  put_varint(out, r.leader);
-  put_varint(out, r.leader_phase);
-  put_varint(out, r.reporter);
-}
-
-// --- decode helpers -------------------------------------------------------
-
-reader open(const sim::wire_msg& w, msg_kind want) {
-  if (w.inner_tag() != tag_of(want))
-    throw sim::wire::decode_error("wire: frame tag does not match decoder");
-  return reader(w.payload(), w.payload_size());
-}
-
 node_id rd_id(reader& r) {
   const std::uint64_t v = r.varint();
   if (v > std::numeric_limits<node_id>::max())
-    throw sim::wire::decode_error("wire: id field exceeds node_id range");
+    throw decode_error("wire: id field exceeds node_id range");
   return static_cast<node_id>(v);
 }
 
 phase_t rd_phase(reader& r) {
   const std::uint64_t v = r.varint();
   if (v > std::numeric_limits<phase_t>::max())
-    throw sim::wire::decode_error("wire: phase field exceeds 32 bits");
+    throw decode_error("wire: phase field exceeds 32 bits");
   return static_cast<phase_t>(v);
 }
 
 bool rd_bool(reader& r) {
   const std::uint8_t b = r.byte();
-  if (b > 1) throw sim::wire::decode_error("wire: boolean byte not 0/1");
+  if (b > 1) throw decode_error("wire: boolean byte not 0/1");
   return b != 0;
+}
+
+id_vec rd_ids(reader& r) {
+  id_vec ids;
+  read_id_set(r, ids);
+  return ids;
 }
 
 }  // namespace
 
-const sim::wire_codec& codec() noexcept {
-  static const sim::wire_codec table = [] {
-    sim::wire_codec c;
-    c.encode[tag_of(msg_kind::query)] = enc_query;
-    c.encode[tag_of(msg_kind::query_reply)] = enc_query_reply;
-    c.encode[tag_of(msg_kind::search)] = enc_search;
-    c.encode[tag_of(msg_kind::release)] = enc_release;
-    c.encode[tag_of(msg_kind::merge_accept)] = enc_merge_accept;
-    c.encode[tag_of(msg_kind::merge_fail)] = enc_merge_fail;
-    c.encode[tag_of(msg_kind::info)] = enc_info;
-    c.encode[tag_of(msg_kind::conquer)] = enc_conquer;
-    c.encode[tag_of(msg_kind::member_reply)] = enc_member_reply;
-    c.encode[tag_of(msg_kind::probe)] = enc_probe;
-    c.encode[tag_of(msg_kind::probe_reply)] = enc_probe_reply;
-    c.encode[tag_of(msg_kind::report)] = enc_report;
-    c.encode[tag_of(msg_kind::report_ack)] = enc_report_ack;
-    // Only the id-set carriers trade their structs (plus pooled vectors)
-    // for the compact frame; fixed-field messages are already minimal and
-    // just have their frame bytes counted.
-    c.materialize[tag_of(msg_kind::query_reply)] = true;
-    c.materialize[tag_of(msg_kind::info)] = true;
-    c.materialize[tag_of(msg_kind::probe_reply)] = true;
-    return c;
-  }();
-  return table;
-}
-
-query_view decode_query(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::query);
-  query_view v{static_cast<std::size_t>(r.varint())};
-  r.expect_end();
-  return v;
-}
-
-query_reply_view decode_query_reply(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::query_reply);
-  query_reply_view v;
-  v.ids = sim::wire::id_set_view::parse(r);
-  v.done_flag = rd_bool(r);
-  r.expect_end();
-  return v;
-}
-
-search_view decode_search(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::search);
-  search_view v;
-  v.initiator = rd_id(r);
-  v.initiator_phase = rd_phase(r);
-  v.target = rd_id(r);
-  v.new_flag = rd_bool(r);
-  r.expect_end();
-  return v;
-}
-
-release_view decode_release(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::release);
-  release_view v;
-  v.from_leader = rd_id(r);
-  v.from_phase = rd_phase(r);
-  v.answer = rd_bool(r) ? release_msg::answer_t::abort
-                        : release_msg::answer_t::merge;
-  v.initiator = rd_id(r);
-  r.expect_end();
-  return v;
-}
-
-merge_accept_view decode_merge_accept(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::merge_accept);
-  merge_accept_view v;
-  v.conqueror = rd_id(r);
-  v.conqueror_phase = rd_phase(r);
-  r.expect_end();
-  return v;
-}
-
-info_view decode_info(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::info);
-  info_view v;
-  v.phase = rd_phase(r);
-  v.more = sim::wire::id_set_view::parse(r);
-  v.done = sim::wire::id_set_view::parse(r);
-  v.unaware = sim::wire::id_set_view::parse(r);
-  v.unexplored = sim::wire::id_set_view::parse(r);
-  r.expect_end();
-  return v;
-}
-
-conquer_view decode_conquer(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::conquer);
-  conquer_view v;
-  v.leader = rd_id(r);
-  v.phase = rd_phase(r);
-  r.expect_end();
-  return v;
-}
-
-member_reply_view decode_member_reply(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::member_reply);
-  member_reply_view v{rd_bool(r)};
-  r.expect_end();
-  return v;
-}
-
-probe_view decode_probe(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::probe);
-  probe_view v{rd_id(r)};
-  r.expect_end();
-  return v;
-}
-
-probe_reply_view decode_probe_reply(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::probe_reply);
-  probe_reply_view v;
-  v.leader = rd_id(r);
-  v.leader_phase = rd_phase(r);
-  v.requester = rd_id(r);
-  v.census = sim::wire::id_set_view::parse(r);
-  r.expect_end();
-  return v;
-}
-
-report_view decode_report(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::report);
-  report_view v{rd_id(r)};
-  r.expect_end();
-  return v;
-}
-
-report_ack_view decode_report_ack(const sim::wire_msg& w) {
-  reader r = open(w, msg_kind::report_ack);
-  report_ack_view v;
-  v.leader = rd_id(r);
-  v.leader_phase = rd_phase(r);
-  v.reporter = rd_id(r);
-  r.expect_end();
-  return v;
-}
-
-std::string_view tag_name(std::uint8_t tag) noexcept {
-  // Must mirror the struct type_name() literals exactly: service-mode wire
-  // accounting keys frames by these names and is compared against sim runs.
-  switch (static_cast<msg_kind>(tag)) {
-    case msg_kind::query: return "query";
-    case msg_kind::query_reply: return "query_reply";
-    case msg_kind::search: return "search";
-    case msg_kind::release: return "release";
-    case msg_kind::merge_accept: return "merge_accept";
-    case msg_kind::merge_fail: return "merge_fail";
-    case msg_kind::info: return "info";
-    case msg_kind::conquer: return "conquer";
-    case msg_kind::member_reply: return "more_done";
-    case msg_kind::probe: return "probe";
-    case msg_kind::probe_reply: return "probe_reply";
-    case msg_kind::report: return "report";
-    case msg_kind::report_ack: return "report_ack";
-  }
-  return "";
-}
-
-void validate_frame(const std::uint8_t* data, std::size_t len) {
-  if (len == 0) throw sim::wire::decode_error("wire: empty frame");
-  const std::uint8_t header = data[0];
-  if ((header & sim::wire::wire_bit) == 0)
-    throw sim::wire::decode_error("wire: header missing wire bit");
-  const auto tag = static_cast<std::uint8_t>(header & ~sim::wire::wire_bit);
-  reader r(data + 1, len - 1);
-  // One arm per type, parsing exactly what the matching decoder parses —
-  // every scalar range check, delta-set rule, and the no-trailing-bytes
-  // rule — without materializing a view struct.  A frame that passes here
-  // is safe to box as a wire_msg and hand to node::handle_wire.
+void encode(const sim::message& m, std::vector<std::uint8_t>& out) {
+  const std::uint8_t tag = m.dispatch_tag();
+  if (tag < tag_of(msg_kind::query) || tag > tag_of(msg_kind::report_ack))
+    throw std::logic_error("wire: not a core message");
+  out.push_back(static_cast<std::uint8_t>(wire_bit | tag));
   switch (static_cast<msg_kind>(tag)) {
     case msg_kind::query:
-      r.varint();
+      put_varint(out, as<query_msg>(m).requested);
       break;
-    case msg_kind::query_reply:
-      sim::wire::id_set_view::parse(r);
-      rd_bool(r);
+    case msg_kind::query_reply: {
+      const auto& q = as<query_reply_msg>(m);
+      put_id_set(out, q.ids);
+      out.push_back(q.done_flag ? 1 : 0);
       break;
-    case msg_kind::search:
-      rd_id(r);
-      rd_phase(r);
-      rd_id(r);
-      rd_bool(r);
+    }
+    case msg_kind::search: {
+      const auto& s = as<search_msg>(m);
+      put_varint(out, s.initiator);
+      put_varint(out, s.initiator_phase);
+      put_varint(out, s.target);
+      out.push_back(s.new_flag ? 1 : 0);
       break;
-    case msg_kind::release:
-      rd_id(r);
-      rd_phase(r);
-      rd_bool(r);
-      rd_id(r);
+    }
+    case msg_kind::release: {
+      const auto& r = as<release_msg>(m);
+      put_varint(out, r.from_leader);
+      put_varint(out, r.from_phase);
+      out.push_back(r.answer == release_msg::answer_t::merge ? 0 : 1);
+      put_varint(out, r.initiator);
       break;
-    case msg_kind::merge_accept:
-      rd_id(r);
-      rd_phase(r);
+    }
+    case msg_kind::merge_accept: {
+      const auto& a = as<merge_accept_msg>(m);
+      put_varint(out, a.conqueror);
+      put_varint(out, a.conqueror_phase);
       break;
+    }
     case msg_kind::merge_fail:
       break;
-    case msg_kind::info:
-      rd_phase(r);
-      sim::wire::id_set_view::parse(r);
-      sim::wire::id_set_view::parse(r);
-      sim::wire::id_set_view::parse(r);
-      sim::wire::id_set_view::parse(r);
+    case msg_kind::info: {
+      const auto& i = as<info_msg>(m);
+      put_varint(out, i.phase);
+      put_id_set(out, i.more);
+      put_id_set(out, i.done);
+      put_id_set(out, i.unaware);
+      put_id_set(out, i.unexplored);
       break;
-    case msg_kind::conquer:
-      rd_id(r);
-      rd_phase(r);
+    }
+    case msg_kind::conquer: {
+      const auto& c = as<conquer_msg>(m);
+      put_varint(out, c.leader);
+      put_varint(out, c.phase);
       break;
+    }
     case msg_kind::member_reply:
-      rd_bool(r);
+      out.push_back(as<member_reply_msg>(m).has_more ? 1 : 0);
       break;
     case msg_kind::probe:
-      rd_id(r);
+      put_varint(out, as<probe_msg>(m).requester);
       break;
-    case msg_kind::probe_reply:
-      rd_id(r);
-      rd_phase(r);
-      rd_id(r);
-      sim::wire::id_set_view::parse(r);
+    case msg_kind::probe_reply: {
+      const auto& p = as<probe_reply_msg>(m);
+      put_varint(out, p.leader);
+      put_varint(out, p.leader_phase);
+      put_varint(out, p.requester);
+      put_id_set(out, p.census);
       break;
+    }
     case msg_kind::report:
-      rd_id(r);
+      put_varint(out, as<report_msg>(m).reporter);
       break;
-    case msg_kind::report_ack:
-      rd_id(r);
-      rd_phase(r);
-      rd_id(r);
+    case msg_kind::report_ack: {
+      const auto& r = as<report_ack_msg>(m);
+      put_varint(out, r.leader);
+      put_varint(out, r.leader_phase);
+      put_varint(out, r.reporter);
       break;
+    }
+  }
+}
+
+sim::message_ptr decode(const std::uint8_t* data, std::size_t len) {
+  if (len == 0) throw decode_error("wire: empty frame");
+  if ((data[0] & wire_bit) == 0)
+    throw decode_error("wire: header missing wire bit");
+  reader r(data + 1, len - 1);
+  // Fields are read into locals in frame order: the order in which function
+  // arguments are evaluated is unspecified.
+  sim::message_ptr m;
+  switch (static_cast<msg_kind>(data[0] & ~wire_bit)) {
+    case msg_kind::query: {
+      const std::uint64_t requested = r.varint();
+      m = sim::make_message<query_msg>(static_cast<std::size_t>(requested));
+      break;
+    }
+    case msg_kind::query_reply: {
+      id_vec ids = rd_ids(r);
+      const bool done = rd_bool(r);
+      m = sim::make_message<query_reply_msg>(std::move(ids), done);
+      break;
+    }
+    case msg_kind::search: {
+      const node_id initiator = rd_id(r);
+      const phase_t phase = rd_phase(r);
+      const node_id target = rd_id(r);
+      const bool new_flag = rd_bool(r);
+      m = sim::make_message<search_msg>(initiator, phase, target, new_flag);
+      break;
+    }
+    case msg_kind::release: {
+      const node_id leader = rd_id(r);
+      const phase_t phase = rd_phase(r);
+      const auto answer = rd_bool(r) ? release_msg::answer_t::abort
+                                     : release_msg::answer_t::merge;
+      const node_id initiator = rd_id(r);
+      m = sim::make_message<release_msg>(leader, phase, answer, initiator);
+      break;
+    }
+    case msg_kind::merge_accept: {
+      const node_id conqueror = rd_id(r);
+      const phase_t phase = rd_phase(r);
+      m = sim::make_message<merge_accept_msg>(conqueror, phase);
+      break;
+    }
+    case msg_kind::merge_fail:
+      m = sim::make_message<merge_fail_msg>();
+      break;
+    case msg_kind::info: {
+      const phase_t phase = rd_phase(r);
+      id_vec more = rd_ids(r);
+      id_vec done = rd_ids(r);
+      id_vec unaware = rd_ids(r);
+      id_vec unexplored = rd_ids(r);
+      m = sim::make_message<info_msg>(phase, std::move(more), std::move(done),
+                                      std::move(unaware),
+                                      std::move(unexplored));
+      break;
+    }
+    case msg_kind::conquer: {
+      const node_id leader = rd_id(r);
+      const phase_t phase = rd_phase(r);
+      m = sim::make_message<conquer_msg>(leader, phase);
+      break;
+    }
+    case msg_kind::member_reply:
+      m = sim::make_message<member_reply_msg>(rd_bool(r));
+      break;
+    case msg_kind::probe:
+      m = sim::make_message<probe_msg>(rd_id(r));
+      break;
+    case msg_kind::probe_reply: {
+      const node_id leader = rd_id(r);
+      const phase_t phase = rd_phase(r);
+      const node_id requester = rd_id(r);
+      id_vec census = rd_ids(r);
+      m = sim::make_message<probe_reply_msg>(leader, phase, requester,
+                                             std::move(census));
+      break;
+    }
+    case msg_kind::report:
+      m = sim::make_message<report_msg>(rd_id(r));
+      break;
+    case msg_kind::report_ack: {
+      const node_id leader = rd_id(r);
+      const phase_t phase = rd_phase(r);
+      const node_id reporter = rd_id(r);
+      m = sim::make_message<report_ack_msg>(leader, phase, reporter);
+      break;
+    }
     default:
-      throw sim::wire::decode_error("wire: unknown frame tag");
+      throw decode_error("wire: unknown frame tag");
   }
   r.expect_end();
+  return m;
 }
 
 }  // namespace asyncrd::core::wire

@@ -16,8 +16,8 @@
 //   dg_ack:  [0xE8][varint src][varint dst][varint ack]
 //
 // src/dst are node ids; seq/ack are the ARQ channel sequence numbers.  The
-// embedded wire frame is validated (core::wire::validate_frame) before the
-// ARQ layer sees it, so a malformed or hostile datagram is counted and
+// embedded wire frame is decoded into its struct (core::wire::decode) before
+// the ARQ layer sees it, so a malformed or hostile datagram is counted and
 // dropped at the door — it can cost a retransmit, never a crash.
 //
 // Control plane (all varint fields, always over the loadgen's control

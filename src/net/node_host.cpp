@@ -26,8 +26,6 @@ node_host::node_host(const graph::digraph& g, const core::config& cfg,
   sock_.bind_loopback();
 
   transport_.set_adapter(&arq_);
-  transport_.set_frame_hooks(&core::wire::validate_frame,
-                             &core::wire::tag_name);
   transport_.set_local([this](node_id v) { return hosts(v); });
   transport_.set_deliver(
       [this](node_id to, node_id from, const sim::message_ptr& m) {
@@ -37,9 +35,7 @@ node_host::node_host(const graph::digraph& g, const core::config& cfg,
     return loopback(peer_ports_[static_cast<std::size_t>(to) % procs_]);
   });
 
-  // The local network runs in wire mode (frames are the unit the cluster
-  // exchanges) with the gateway as its egress for non-hosted destinations.
-  net_.set_wire_codec(&core::wire::codec());
+  // Sends to nodes this process does not host leave through the gateway.
   net_.set_remote_gateway(&gateway_);
 
   std::map<node_id, std::size_t> sizes;
@@ -65,26 +61,16 @@ void node_host::set_peers(std::vector<std::uint16_t> peer_ports) {
   peer_ports_ = std::move(peer_ports);
 }
 
-void node_host::gateway::remote_send(node_id from, node_id to,
-                                     sim::message_ptr m) {
-  // Types the codec materializes already arrive as encoded frames; the
-  // fixed-field types arrive as structs (the sim keeps them that way
-  // because re-boxing would grow them) and are encoded here, at the edge.
-  if ((m->dispatch_tag() & sim::wire::wire_bit) == 0) {
-    const std::uint8_t tag = m->dispatch_tag();
-    const sim::wire_encode_fn fn =
-        tag < core::wire::codec().encode.size()
-            ? core::wire::codec().encode[tag]
-            : nullptr;
-    if (fn == nullptr)
-      throw std::logic_error(
-          "node_host: remote send of a message with no wire form");
-    host_->scratch_.clear();
-    fn(*m, host_->scratch_);
-    m = sim::make_message<sim::wire_msg>(*m, host_->scratch_.data(),
-                                         host_->scratch_.size());
-  }
-  host_->arq_.app_send(from, to, std::move(m));
+std::size_t node_host::gateway::remote_send(node_id from, node_id to,
+                                            sim::message_ptr m) {
+  // The process boundary: the struct is encoded once, and the ARQ holds
+  // (and retransmits) the frame.
+  std::vector<std::uint8_t>& frame = host_->scratch_;
+  frame.clear();
+  core::wire::encode(*m, frame);
+  host_->arq_.app_send(
+      from, to, sim::make_message<sim::wire_msg>(frame.data(), frame.size()));
+  return frame.size();
 }
 
 void node_host::on_deliver_remote(node_id to, node_id from,

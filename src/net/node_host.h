@@ -1,21 +1,21 @@
 // One process's share of a service-mode discovery cluster.
 //
-// A node_host owns a real sim::network (unit-delay scheduler, wire codec
-// armed, no local fault plan) hosting the nodes this process is
-// responsible for — node v belongs to process v mod P — plus the machinery
-// that splices that network into a UDP cluster:
+// A node_host owns a real sim::network (unit-delay scheduler, no local
+// fault plan) hosting the nodes this process is responsible for — node v
+// belongs to process v mod P — plus the machinery that splices that
+// network into a UDP cluster:
 //
 //   * a remote_gateway implementation: application sends whose destination
 //     is not hosted here exit network::send_internal into remote_send,
-//     which boxes the message into its encoded wire frame (if the codec
-//     did not already materialize it) and hands it to a *second*
-//     reliable_link_layer instance — the UDP-side ARQ — whose transport is
-//     net/udp_transport.h over this host's data socket;
-//   * the inbound path: udp_transport validates + reboxes arriving
-//     envelopes, the ARQ releases application frames in FIFO order, and
-//     the release callback re-enters the simulator via
-//     network::inject_remote, which runs one delivery activation exactly
-//     like a local delivery (observers, stats, tracing all see it);
+//     which encodes the message into its wire frame (core::wire::encode)
+//     and hands the frame to a *second* reliable_link_layer instance — the
+//     UDP-side ARQ — whose transport is net/udp_transport.h over this
+//     host's data socket;
+//   * the inbound path: udp_transport decodes each arriving frame back into
+//     its struct, the ARQ releases the messages in FIFO order, and the
+//     release callback re-enters the simulator via network::inject_remote,
+//     which runs one delivery activation exactly like a local delivery
+//     (observers, stats, tracing all see it);
 //   * pump(): advances the wall-clock tick timers (retransmits), drains
 //     every pending datagram from the socket, and runs the simulator to
 //     quiescence, emitting further remote sends as it goes.
@@ -126,7 +126,8 @@ class node_host {
   class gateway final : public sim::remote_gateway {
    public:
     explicit gateway(node_host& h) noexcept : host_(&h) {}
-    void remote_send(node_id from, node_id to, sim::message_ptr m) override;
+    std::size_t remote_send(node_id from, node_id to,
+                            sim::message_ptr m) override;
 
    private:
     node_host* host_;

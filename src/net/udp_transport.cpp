@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/messages.h"
 #include "net/envelope.h"
 #include "sim/reliable_link.h"
 #include "sim/wire.h"
@@ -25,7 +26,7 @@ void udp_transport::transport_send(node_id from, node_id to,
   switch (m->dispatch_tag()) {
     case sim::rl_data_tag: {
       const auto& env = static_cast<const sim::rl_data_msg&>(*m);
-      // Service mode ships encoded frames only: the gateway boxes every
+      // Service mode ships encoded frames only: the gateway encodes every
       // application message into a wire_msg before app_send, so the inner
       // message here always carries its own bytes.
       if ((env.inner->dispatch_tag() & sim::wire::wire_bit) == 0)
@@ -118,23 +119,9 @@ bool udp_transport::on_datagram(const std::uint8_t* data, std::size_t len) {
         const std::uint64_t seq = r.varint();
         if (local_ && !local_(dst))
           throw sim::wire::decode_error("datagram: destination not hosted");
-        const std::uint8_t* frame = r.pos();
-        const std::size_t flen = r.remaining();
-        // Full protocol-grammar validation *before* the ARQ touches the
-        // frame: after this line the bytes are safe to box, buffer
-        // out-of-order, retransmit-dedup, and eventually decode at the
-        // destination node without re-checking.
-        if (validate_ != nullptr) {
-          validate_(frame, flen);
-        } else if (flen == 0 || (frame[0] & sim::wire::wire_bit) == 0) {
-          throw sim::wire::decode_error("datagram: missing wire frame");
-        }
-        const std::string_view name =
-            name_ != nullptr
-                ? name_(frame[0] &
-                        static_cast<std::uint8_t>(~sim::wire::wire_bit))
-                : std::string_view("wire");
-        auto inner = sim::make_message<sim::wire_msg>(frame, flen, name);
+        // The process boundary: the frame becomes its struct, with the
+        // whole grammar checked, before the ARQ buffers or releases it.
+        auto inner = core::wire::decode(r.pos(), r.remaining());
         auto env = sim::make_message<sim::rl_data_msg>(std::move(inner), seq);
         if (adapter_ != nullptr) adapter_->transport_deliver(src, dst, env);
         return true;

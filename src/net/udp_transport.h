@@ -9,13 +9,13 @@
 //   * transport_send serializes the ARQ envelope (rl_data with its inner
 //     wire frame, or rl_ack) into a datagram and sendto()s it at the
 //     destination node's owning process (the route callback).
-//   * on_datagram parses an arriving data-plane datagram, validates the
-//     embedded wire frame through the protocol validator *before* the ARQ
-//     sees it, boxes it back into the envelope types, and feeds
+//   * on_datagram parses an arriving data-plane datagram, decodes the
+//     embedded wire frame into its struct (core::wire::decode) *before*
+//     the ARQ sees it, wraps it in the envelope type, and feeds
 //     adapter->transport_deliver.  Anything malformed — truncated varints,
 //     an unknown tag, a bad id set, a destination this process does not
 //     host — is counted in stats().decode_errors and dropped; a garbage
-//     datagram can cost a retransmit, never a crash (ISSUE 10 satellite).
+//     datagram can cost a retransmit, never a crash.
 //   * Timers: schedule_adapter_timer parks (deadline, key) in a min-heap;
 //     advance_to(wall) pops due timers, pinning now() to each popped
 //     deadline exactly while its callback runs.  The ARQ detects orphaned
@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <string_view>
 #include <vector>
 
 #include "common/ids.h"
@@ -69,13 +68,6 @@ class udp_transport final : public sim::transport {
     std::uint64_t timer_fires = 0;
   };
 
-  /// Validates one wire frame; throws sim::wire::decode_error on anything
-  /// malformed (core::wire::validate_frame).  Kept as a function pointer so
-  /// the net library stays protocol-agnostic like sim/wire.h.
-  using validate_fn = void (*)(const std::uint8_t*, std::size_t);
-  /// Static-storage type name for a frame tag (core::wire::tag_name).
-  using name_fn = std::string_view (*)(std::uint8_t);
-
   using route_fn = std::function<endpoint(node_id)>;
   using deliver_fn =
       std::function<void(node_id to, node_id from, const sim::message_ptr&)>;
@@ -89,11 +81,6 @@ class udp_transport final : public sim::transport {
   void set_route(route_fn r) { route_ = std::move(r); }
   /// Sink for in-order application messages released by the ARQ.
   void set_deliver(deliver_fn f) { deliver_ = std::move(f); }
-  /// Frame validation + naming (protocol hooks; both or neither).
-  void set_frame_hooks(validate_fn v, name_fn n) noexcept {
-    validate_ = v;
-    name_ = n;
-  }
   /// True iff this process hosts `id`; data for other nodes is a misroute
   /// and counts as a decode drop.
   void set_local(local_fn f) { local_ = std::move(f); }
@@ -157,8 +144,6 @@ class udp_transport final : public sim::transport {
   route_fn route_;
   deliver_fn deliver_;
   local_fn local_;
-  validate_fn validate_ = nullptr;
-  name_fn name_ = nullptr;
 
   sim::sim_time now_ = 0;
   std::priority_queue<timer_ev, std::vector<timer_ev>, std::greater<>>

@@ -65,6 +65,11 @@ struct global_pool {
   std::size_t blocks = 0;        ///< cached blocks across classes
   std::uint64_t donations = 0;   ///< blocks spilled thread -> global
   std::uint64_t grabs = 0;       ///< blocks refilled global -> thread
+
+  ~global_pool() {
+    for (auto& list : cls)
+      for (void* p : list) ::operator delete(p);
+  }
 };
 
 global_pool& global() {
@@ -77,8 +82,8 @@ global_pool& global() {
 /// refunds it on whichever thread frees.  Process-wide relaxed atomics —
 /// a block may be freed on another thread than the one that allocated it,
 /// so per-thread gauges could drift negative.  These count *live* blocks
-/// handed to callers, not free-list inventory: exactly the message-footprint
-/// number the struct-vs-wire bench comparison needs.
+/// handed to callers, not free-list inventory: the messages' resident
+/// footprint, which bench_sim_throughput records per configuration.
 std::atomic<std::int64_t> live_bytes_{0};
 std::atomic<std::int64_t> peak_bytes_{0};
 

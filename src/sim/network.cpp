@@ -166,50 +166,6 @@ void network::set_link_adapter(link_adapter* a) {
   adapter_ = a;
 }
 
-void network::set_wire_codec(const wire_codec* c) {
-  if (manual_mode_) throw std::logic_error("set_wire_codec in manual mode");
-  if (!events_.empty() || !channels_empty())
-    throw std::logic_error("set_wire_codec after traffic");
-  codec_ = c;
-}
-
-message_ptr network::wire_encode(message_ptr m) {
-  const std::uint8_t tag = m->dispatch_tag();
-  const std::uint8_t inner =
-      tag & static_cast<std::uint8_t>(~wire::wire_bit);
-  if (inner == 0 || inner >= codec_->encode.size() ||
-      codec_->encode[inner] == nullptr)
-    return m;  // no wire form for this type: pass through, uncounted
-  if ((tag & wire::wire_bit) != 0) {
-    // Already encoded — a routing hop forwarding the frame it received.
-    // Each hop is a wire transmission, so the bytes count again.
-    const auto& wm = static_cast<const wire_msg&>(*m);
-    wire_slot& s = wire_slots_[inner];
-    if (s.name.empty()) s.name = wm.type_name();
-    ++s.frames;
-    s.bytes += wm.size();
-    ++wire_frames_;
-    wire_bytes_ += wm.size();
-    return m;
-  }
-  // One scratch buffer per thread: parallel_sweep runs independent networks
-  // side by side, each encoding on its own worker.
-  static thread_local std::vector<std::uint8_t> scratch;
-  scratch.clear();
-  codec_->encode[inner](*m, scratch);
-  wire_slot& s = wire_slots_[inner];
-  if (s.name.empty()) s.name = m->type_name();
-  ++s.frames;
-  s.bytes += scratch.size();
-  ++wire_frames_;
-  wire_bytes_ += scratch.size();
-  // The frame's bytes are what a socket would carry and are counted above
-  // for every encoded type; the frame *object* only replaces the struct
-  // where that shrinks the resident footprint (see wire_codec::materialize).
-  if (!codec_->materialize[inner]) return m;
-  return make_message<wire_msg>(*m, scratch.data(), scratch.size());
-}
-
 bool network::outage_active(const channel& ch) const noexcept {
   if (plan_.outage_period == 0 || plan_.outage_duration == 0) return false;
   const std::uint64_t phase =
@@ -321,24 +277,25 @@ sim_time network::scheduled_delay(node_id from, node_id to, const message& m) {
 
 void network::send_internal(node_id from, node_id to, message_ptr m) {
   assert(m != nullptr);
-  // Wire mode: encode (or recognize a forwarded frame) and account bytes
-  // here — the one choke point every application send funnels through,
-  // before the fault plan or the adapter see it.  Counted bytes are the
-  // application bytes *offered* to the transport: chaos drops/duplicates
-  // and ARQ retransmissions below this line don't change them.
-  if (codec_ != nullptr) m = wire_encode(std::move(m));
   // Service mode: a destination this network does not host exits through
   // the gateway.  Accounted like any send (stats, observers) so a
   // multi-process run reports the same per-node totals as a sim run; the
   // gateway's own transport handles reliability, so the local fault plan
-  // and link adapter do not apply.
+  // and link adapter do not apply.  The gateway encodes the frame and
+  // returns its size: those are the bytes this process puts on the wire.
   if (gateway_ != nullptr && index_of(to) == npos) {
     stats_.record(*m);
     if (!observers_.empty()) {
       prof_scope ps(prof_, cost_profiler::phase::observers);
       observers_.on_send(now_, from, to, *m);
     }
-    gateway_->remote_send(from, to, std::move(m));
+    wire_slot& s = wire_slots_[m->dispatch_tag() % wire_slots_.size()];
+    if (s.name.empty()) s.name = m->type_name();
+    const std::size_t bytes = gateway_->remote_send(from, to, std::move(m));
+    ++s.frames;
+    s.bytes += bytes;
+    ++wire_frames_;
+    wire_bytes_ += bytes;
     return;
   }
   // With a reliable-delivery adapter installed, application sends detour

@@ -37,6 +37,7 @@
 // pin that equivalence.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -56,7 +57,6 @@
 #include "sim/scheduler.h"
 #include "sim/stats.h"
 #include "sim/transport.h"
-#include "sim/wire.h"
 
 namespace asyncrd::sim {
 
@@ -127,15 +127,17 @@ class link_adapter {
 
 /// Egress hook for destinations this network does not host (service mode).
 /// With a gateway installed, an application send whose destination id is not
-/// a local node is handed here — after wire encoding and accounting, before
-/// the local fault plan or link adapter see it — instead of throwing
-/// "unknown destination".  The gateway (src/net/node_host.h) carries the
-/// frame to the owning process over its own transport; the reply path comes
-/// back through network::inject_remote.
+/// a local node is handed here — after stats accounting, before the local
+/// fault plan or link adapter see it — instead of throwing "unknown
+/// destination".  The gateway (src/net/node_host.h) encodes the message
+/// into its frame, carries it to the owning process over its own transport,
+/// and returns the frame's size in bytes, which the network counts under
+/// wire_bytes_sent.  The reply path comes back through
+/// network::inject_remote.
 class remote_gateway {
  public:
   virtual ~remote_gateway() = default;
-  virtual void remote_send(node_id from, node_id to, message_ptr m) = 0;
+  virtual std::size_t remote_send(node_id from, node_id to, message_ptr m) = 0;
 };
 
 /// Handle a process uses to interact with the network from inside a handler.
@@ -349,28 +351,12 @@ class network : public transport {
   /// a local node.  Driver-level call: only valid between activations.
   void inject_remote(node_id to, node_id from, const message_ptr& m);
 
-  // --- wire mode ----------------------------------------------------------
-  //
-  // With a codec installed, every application send whose dispatch_tag has a
-  // registered encoder is replaced at the send choke point by a wire_msg
-  // carrying the encoded frame; the pool then holds encoded bytes instead
-  // of structs and the frame size is accounted below.  Encoding happens
-  // before the fault plan and the link adapter see the message, so chaos
-  // semantics and ARQ envelopes are unchanged — they transport frames.
-  // Forwarded frames (routing hops resending the same message) are counted
-  // again per hop: each hop is a wire transmission.  Messages with no
-  // encoder (foreign test types) pass through as structs, uncounted.
-
-  /// Installs (nullptr uninstalls) the codec (not owned; must outlive the
-  /// run).  Must be called before any traffic; mutually exclusive with
-  /// manual mode.
-  void set_wire_codec(const wire_codec* c);
-  bool wire_enabled() const noexcept { return codec_ != nullptr; }
-
-  /// Per-inner-tag wire accounting (all zero with wire mode off).
+  /// Per-tag accounting of the frames the gateway encoded (all zero
+  /// without a gateway).  Each remote send is one frame, counted once when
+  /// it is handed to the gateway; transport retransmissions are not.
   struct wire_slot {
-    std::string_view name;     ///< inner type_name ("" = tag never sent)
-    std::uint64_t frames = 0;  ///< frames offered to the transport
+    std::string_view name;     ///< type_name ("" = tag never sent)
+    std::uint64_t frames = 0;  ///< frames handed to the gateway
     std::uint64_t bytes = 0;   ///< frame bytes, header byte included
   };
   std::uint64_t wire_bytes_sent() const noexcept { return wire_bytes_; }
@@ -664,12 +650,6 @@ class network : public transport {
 
   void send_internal(node_id from, node_id to, message_ptr m);
 
-  /// Wire mode: encodes `m` through the codec table (or recognizes an
-  /// already-encoded forwarded frame) and accounts its bytes.  Returns the
-  /// message to transport — the wire_msg, or `m` unchanged if its tag has
-  /// no encoder.
-  message_ptr wire_encode(message_ptr m);
-
   /// The one place a transmission goes on the wire: rolls the channel's
   /// fault plan (outage / drop / duplicate / extra reorder delay), enqueues
   /// the surviving copies, and schedules their delivery events.  `counted`
@@ -711,7 +691,6 @@ class network : public transport {
   bool faults_on_ = false;
   link_adapter* adapter_ = nullptr;
   remote_gateway* gateway_ = nullptr;
-  const wire_codec* codec_ = nullptr;
   std::array<wire_slot, 128> wire_slots_{};
   std::uint64_t wire_bytes_ = 0;
   std::uint64_t wire_frames_ = 0;

@@ -1,7 +1,6 @@
 #include "sim/wire.h"
 
 #include <cstring>
-#include <limits>
 
 namespace asyncrd::sim::wire {
 
@@ -20,56 +19,12 @@ std::uint64_t reader::varint() {
   }
 }
 
-id_set_view id_set_view::parse(reader& r) {
-  const std::uint64_t count = r.varint();
-  const std::uint8_t* first = r.pos();
-  // Hostile-frame bound: each id costs at least one byte, so a count larger
-  // than the remaining payload is malformed *by arithmetic* — reject it
-  // before any iteration or reservation keyed on the declared count.  (A
-  // few-byte crafted frame can claim a billion-element set; without this
-  // check the validation loop below would still throw, but only after
-  // walking the whole remainder, and any caller that sized storage from
-  // size() before iterating would allocate gigabytes first.)
-  if (count > r.remaining())
-    throw decode_error("wire: id set count exceeds frame");
-  std::uint64_t cur = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t d = r.varint();
-    if (i == 0) {
-      cur = d;
-      continue;
-    }
-    if (d == 0) throw decode_error("wire: id set delta is zero (not sorted)");
-    if (d > std::numeric_limits<std::uint64_t>::max() - cur)
-      throw decode_error("wire: id set overflows 64 bits");
-    cur += d;
-  }
-  return id_set_view(first, static_cast<std::size_t>(count));
-}
-
 }  // namespace asyncrd::sim::wire
 
 namespace asyncrd::sim {
 
-wire_msg::wire_msg(const message& inner, const std::uint8_t* frame,
-                   std::size_t len)
-    : message(frame[0]),
-      name_(inner.type_name()),
-      ids_(static_cast<std::uint32_t>(inner.id_fields())),
-      ints_(static_cast<std::uint32_t>(inner.int_fields())),
-      flags_(static_cast<std::uint32_t>(inner.flag_bits())),
-      len_(static_cast<std::uint32_t>(len)) {
-  std::uint8_t* dst = inline_;
-  if (len_ > inline_capacity) {
-    heap_ = static_cast<std::uint8_t*>(pool_detail::allocate(len_));
-    dst = heap_;
-  }
-  std::memcpy(dst, frame, len_);
-}
-
-wire_msg::wire_msg(const std::uint8_t* frame, std::size_t len,
-                   std::string_view name)
-    : message(frame[0]), name_(name), len_(static_cast<std::uint32_t>(len)) {
+wire_msg::wire_msg(const std::uint8_t* frame, std::size_t len)
+    : message(frame[0]), len_(static_cast<std::uint32_t>(len)) {
   std::uint8_t* dst = inline_;
   if (len_ > inline_capacity) {
     heap_ = static_cast<std::uint8_t*>(pool_detail::allocate(len_));

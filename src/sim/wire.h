@@ -1,10 +1,12 @@
-// Compact binary wire framing for simulator messages (ROADMAP item 5).
+// Compact binary wire framing: what a message looks like on a socket.
 //
 // A frame is: one header byte (wire::wire_bit | inner dispatch_tag), then
-// the payload the protocol's codec table wrote for that tag — varint scalar
-// fields and sorted-id-set payloads encoded as varint *deltas*.  The frame
-// is the unit the network accounts under `wire.bytes_sent`, so every byte a
-// socket backend would put on the wire is in it, including the header.
+// the payload the protocol's encoder wrote for that tag — varint scalar
+// fields and sorted-id-set payloads encoded as varint *deltas*.  Frames
+// exist only where a message crosses a process boundary: a service-mode
+// gateway encodes each remote send once, and the UDP transport decodes
+// each arriving frame back into its struct.  Inside a process every
+// message is a struct.
 //
 // Varints are LEB128: 7 payload bits per byte, least-significant group
 // first, high bit set on every byte except the last.  An id set with ids
@@ -14,20 +16,15 @@
 //
 // with every delta >= 1 (a zero delta, a truncated varint, or an id-sum
 // overflow makes the frame malformed and the decoder throws decode_error).
-// Decoding is zero-copy: id_set_view validates the byte range once at parse
-// time and then iterates the deltas in place — no vector materialization on
-// the delivery path.
 //
 // This layer is protocol-agnostic: it knows bytes, varints, and delta sets.
-// The message vocabulary registers per-tag encoders in a wire_codec table
-// (core/messages.h builds the table for the paper's 13 message types) and
-// the network applies it at the send choke point.
+// The paper's 13 message types are encoded and decoded by core::wire
+// (core/messages.h).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -37,8 +34,8 @@
 namespace asyncrd::sim::wire {
 
 /// Set on the dispatch_tag of every encoded frame (and of wire_msg itself):
-/// header byte = wire_bit | inner tag.  Inner tags are < 0x80 by
-/// construction (the codec table is indexed by them), so the bit is free.
+/// header byte = wire_bit | inner tag.  Core tags are 1..13, so the bit is
+/// free.
 inline constexpr std::uint8_t wire_bit = 0x80;
 
 /// Appends v as a LEB128 varint (1..10 bytes).
@@ -112,114 +109,54 @@ class reader {
   const std::uint8_t* end_;
 };
 
-/// Zero-copy view of an encoded delta set.  parse() validates the whole
-/// range up front (count, first id, strictly-positive deltas, no overflow),
-/// so iteration afterwards is noexcept and does no bounds checks: the
-/// iterator accumulates deltas in place as it walks the validated bytes.
-class id_set_view {
- public:
-  class iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = std::uint64_t;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const std::uint64_t*;
-    using reference = std::uint64_t;
-
-    iterator() noexcept = default;
-
-    std::uint64_t operator*() const noexcept { return cur_; }
-
-    iterator& operator++() noexcept {
-      if (--left_ > 0) cur_ += read();
-      return *this;
+/// Reads one delta set (grammar above) and appends its ids to `out` in
+/// ascending order.  The declared count is checked against the bytes left
+/// before anything is reserved: each id costs at least one byte, so a
+/// larger count is malformed by arithmetic, and a few-byte hostile frame
+/// cannot make the reader reserve gigabytes.  Throws decode_error on that,
+/// on truncation, on a zero delta, on an id past 64 bits, and on an id
+/// that does not fit T.
+template <typename T, typename Alloc>
+void read_id_set(reader& r, std::vector<T, Alloc>& out) {
+  const std::uint64_t count = r.varint();
+  if (count > r.remaining())
+    throw decode_error("wire: id set count exceeds frame");
+  out.reserve(out.size() + static_cast<std::size_t>(count));
+  std::uint64_t cur = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t d = r.varint();
+    if (i == 0) {
+      cur = d;
+    } else {
+      if (d == 0) throw decode_error("wire: id set delta is zero (not sorted)");
+      if (d > std::numeric_limits<std::uint64_t>::max() - cur)
+        throw decode_error("wire: id set overflows 64 bits");
+      cur += d;
     }
-    iterator operator++(int) noexcept {
-      iterator t = *this;
-      ++*this;
-      return t;
+    if constexpr (sizeof(T) < sizeof(std::uint64_t)) {
+      if (cur > std::numeric_limits<T>::max())
+        throw decode_error("wire: id set element exceeds the id range");
     }
-
-    /// Iterators into the same view compare by remaining count; the end
-    /// iterator (and a default-constructed one) has left_ == 0.
-    bool operator==(const iterator& o) const noexcept {
-      return left_ == o.left_;
-    }
-    bool operator!=(const iterator& o) const noexcept { return !(*this == o); }
-
-   private:
-    friend class id_set_view;
-    iterator(const std::uint8_t* p, std::size_t count) noexcept
-        : p_(p), left_(count) {
-      if (left_ > 0) cur_ = read();
-    }
-
-    // Unchecked varint read over bytes parse() already validated.
-    std::uint64_t read() noexcept {
-      std::uint64_t v = 0;
-      unsigned shift = 0;
-      std::uint8_t b;
-      do {
-        b = *p_++;
-        v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-        shift += 7;
-      } while ((b & 0x80) != 0);
-      return v;
-    }
-
-    const std::uint8_t* p_ = nullptr;
-    std::uint64_t cur_ = 0;
-    std::size_t left_ = 0;
-  };
-
-  id_set_view() noexcept = default;
-
-  /// Validates and consumes one delta set from r.  Throws decode_error on
-  /// truncation, zero delta, or accumulated-id overflow.
-  static id_set_view parse(reader& r);
-
-  std::size_t size() const noexcept { return count_; }
-  bool empty() const noexcept { return count_ == 0; }
-  iterator begin() const noexcept { return iterator(data_, count_); }
-  iterator end() const noexcept { return iterator(); }
-
- private:
-  id_set_view(const std::uint8_t* data, std::size_t count) noexcept
-      : data_(data), count_(count) {}
-
-  const std::uint8_t* data_ = nullptr;  ///< first-id varint (validated)
-  std::size_t count_ = 0;
-};
+    out.push_back(static_cast<T>(cur));
+  }
+}
 
 }  // namespace asyncrd::sim::wire
 
 namespace asyncrd::sim {
 
-/// A message that carries its own encoded frame instead of struct fields —
-/// what the message pool holds in wire mode for types the codec
-/// materializes (wire_codec::materialize).  dispatch_tag is
-/// wire::wire_bit | inner tag; the paper's bit accounting (type_name,
-/// id/int/flag field counts) is captured from the inner message at encode
-/// time so stats and traces are byte-identical with wire mode off.
+/// One encoded frame on its way to a socket: the box a service-mode gateway
+/// hands to the UDP-side ARQ, which may hold it for retransmission.  It
+/// carries the frame's bytes only; the struct it was encoded from has
+/// already been accounted by the network.  dispatch_tag is the frame's
+/// header byte (wire::wire_bit | inner tag).
 ///
-/// The frame lives inline for small messages (the common case: every
-/// fixed-field message fits) and spills to the size-classed message pool
-/// for large id sets.
-///
-/// Requires the inner message's type_name() to return a pointer with static
-/// storage duration (true for every core message: they return literals) —
-/// the view outlives the encoded struct.
+/// The frame lives inline for small messages (every fixed-field message
+/// fits) and spills to the size-classed message pool for large id sets.
 class wire_msg final : public message {
  public:
-  wire_msg(const message& inner, const std::uint8_t* frame, std::size_t len);
-
-  /// Frame received off a socket: there is no inner struct to borrow the
-  /// bit accounting from, so the caller supplies the type name (static
-  /// storage duration; core::wire::tag_name) and the field counts stay 0 —
-  /// service-mode stats count frames and bytes, not paper bit fields.
-  /// Precondition: len >= 1 and frame[0] has wire_bit set (callers validate
-  /// the frame via the protocol codec before boxing it).
-  wire_msg(const std::uint8_t* frame, std::size_t len, std::string_view name);
+  /// Precondition: len >= 1 (a frame always has its header byte).
+  wire_msg(const std::uint8_t* frame, std::size_t len);
   ~wire_msg() override;
 
   wire_msg(const wire_msg&) = delete;
@@ -231,52 +168,17 @@ class wire_msg final : public message {
   }
   std::size_t size() const noexcept { return len_; }
 
-  /// Payload after the header byte (what the codec's decoder parses).
-  const std::uint8_t* payload() const noexcept { return data() + 1; }
-  std::size_t payload_size() const noexcept { return len_ - 1; }
-
-  std::uint8_t inner_tag() const noexcept {
-    return dispatch_tag() & static_cast<std::uint8_t>(~wire::wire_bit);
-  }
-
-  std::string_view type_name() const noexcept override { return name_; }
-  std::size_t id_fields() const noexcept override { return ids_; }
-  std::size_t int_fields() const noexcept override { return ints_; }
-  std::size_t flag_bits() const noexcept override { return flags_; }
+  std::string_view type_name() const noexcept override { return "wire"; }
+  std::size_t id_fields() const noexcept override { return 0; }
 
  private:
   static constexpr std::size_t inline_capacity = 32;
 
-  std::string_view name_;
-  std::uint32_t ids_ = 0;
-  std::uint32_t ints_ = 0;
-  std::uint32_t flags_ = 0;
   std::uint32_t len_ = 0;
   union {
     std::uint8_t inline_[inline_capacity];
     std::uint8_t* heap_;
   };
-};
-
-/// Writes the full frame (header byte first) for one concrete message type.
-using wire_encode_fn = void (*)(const message&, std::vector<std::uint8_t>&);
-
-/// Per-protocol encoder table, indexed by inner dispatch_tag.  A null slot
-/// means "no wire form" — the network passes such messages through as
-/// structs, uncounted (foreign test messages keep working in wire mode).
-///
-/// `materialize[tag]` decides whether the encoded frame *replaces* the
-/// struct in the simulation (the message pool then holds a wire_msg and the
-/// receiver decodes zero-copy).  Every encoded type is counted under
-/// wire.bytes_sent either way; materializing pays a wire_msg allocation, so
-/// protocols set it only for types whose payload the frame shrinks —
-/// id-set carriers, where one compact delta-set frame replaces the struct
-/// plus its heap vectors.  For small fixed-field messages the struct is
-/// already the minimal representation, and re-boxing a 7-byte frame into a
-/// pooled object would *grow* the resident footprint it exists to shrink.
-struct wire_codec {
-  std::array<wire_encode_fn, 128> encode{};
-  std::array<bool, 128> materialize{};
 };
 
 }  // namespace asyncrd::sim

@@ -65,13 +65,8 @@ void stall_watchdog::write_json(json_writer& w) const {
 
 std::string dispatch_tag_name(std::uint8_t tag) {
   using core::msg_kind;
-  // The reliable-link tags live above 0x80, so name them before treating
-  // the high bit as the wire-frame marker.
   if (tag == sim::rl_data_tag) return "rl.data";
   if (tag == sim::rl_ack_tag) return "rl.ack";
-  if ((tag & sim::wire::wire_bit) != 0)
-    return "wire." + dispatch_tag_name(
-                         tag & static_cast<std::uint8_t>(~sim::wire::wire_bit));
   switch (static_cast<msg_kind>(tag)) {
     case msg_kind::query: return "query";
     case msg_kind::query_reply: return "query_reply";

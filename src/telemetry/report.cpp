@@ -182,18 +182,6 @@ run_report collect_run_report(const core::discovery_run& run,
   if (transitions != nullptr)
     rep.transitions = transitions->edge_multiplicities();
 
-  if (run.net().wire_enabled()) {
-    rep.wire.enabled = true;
-    rep.wire.bytes_sent = run.net().wire_bytes_sent();
-    rep.wire.frames = run.net().wire_frames();
-    for (const sim::network::wire_slot& slot : run.net().wire_by_tag()) {
-      if (slot.frames == 0) continue;
-      auto& tb = rep.wire.by_type[std::string(slot.name)];
-      tb.count += slot.frames;
-      tb.bytes += slot.bytes;
-    }
-  }
-
   rep.chaos.enabled = run.net().faults_enabled();
   const sim::fault_stats& fs = run.net().faults();
   rep.chaos.transmissions = fs.transmissions;
@@ -237,7 +225,6 @@ void run_recorder::metrics_observer::on_wake(sim::sim_time, node_id) {
 
 run_recorder::run_recorder(core::discovery_run& run, recorder_options opts)
     : run_(&run), metrics_obs_(metrics_) {
-  if (opts.wire) run_->enable_wire();
   load_.reserve_dense(run.net().node_count());
   run_->net().add_observer(&load_);
   run_->net().add_observer(&metrics_obs_);

@@ -70,20 +70,18 @@ struct run_report {
   std::uint64_t id_bits = 0;
   std::map<std::string, sim::type_stats, std::less<>> messages_by_type;
 
-  /// Binary wire codec accounting (sim/wire.h).  Serialized only when the
-  /// codec was armed — a wire-off report stays byte-identical to earlier
-  /// v3 documents, and determinism tests clear `enabled` to diff a wire-on
-  /// run against its struct twin.  Counts are application frames offered to
-  /// the transport: every routing hop retransmits (and re-counts) its
-  /// frame; chaos-duplicated transmissions do not add frames.
+  /// Wire frame accounting (sim/wire.h) of a service-mode shard
+  /// (net::node_host::report).  Serialized only when `enabled`: simulation
+  /// runs encode nothing, so their reports carry no "wire" block.  Counts
+  /// are the frames this process put on its socket, one per remote send:
+  /// ARQ retransmissions do not add frames.
   struct wire_report {
     bool enabled = false;
     std::uint64_t bytes_sent = 0;
     std::uint64_t frames = 0;
-    /// Malformed or misrouted frames dropped at the receive path (service
-    /// mode; always 0 in simulation, where frames cannot corrupt).  Kept
+    /// Malformed or misrouted datagrams dropped at the receive path.  Kept
     /// out of `frames`/`bytes_sent` — those sum the by_type table exactly
-    /// and count only frames *offered* to the transport.
+    /// and count only frames sent.
     std::uint64_t decode_errors = 0;
     struct type_bytes {
       std::uint64_t count = 0;
@@ -208,9 +206,6 @@ struct recorder_options {
   std::size_t flight_capacity = 0;
   /// Arm the hot-path cost profiler (sim/profiler.h) for the run.
   bool profile = false;
-  /// Arm the binary wire codec (discovery_run::enable_wire()) and report
-  /// the measured per-type wire bytes in the "wire" block.
-  bool wire = false;
 };
 
 /// Arms a load observer, a transition recorder, and a metrics registry on a

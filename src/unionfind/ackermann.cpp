@@ -2,17 +2,12 @@
 
 #include <cassert>
 #include <cmath>
-#include <map>
 
 namespace asyncrd::uf {
 
-namespace {
-
-std::uint64_t ack_rec(std::uint64_t m, std::uint64_t n,
-                      std::map<std::pair<std::uint64_t, std::uint64_t>,
-                               std::uint64_t>& memo) {
+std::uint64_t ackermann(std::uint64_t m, std::uint64_t n) {
   if (m == 0) return n >= ackermann_cap - 1 ? ackermann_cap : n + 1;
-  // Closed forms for the first rows keep the recursion shallow.
+  // Closed forms for the first rows.
   if (m == 1) return n >= ackermann_cap - 2 ? ackermann_cap : n + 2;
   if (m == 2) return n >= (ackermann_cap - 3) / 2 ? ackermann_cap : 2 * n + 3;
   if (m == 3) {
@@ -20,25 +15,14 @@ std::uint64_t ack_rec(std::uint64_t m, std::uint64_t n,
     if (n + 3 >= 62) return ackermann_cap;
     return (std::uint64_t{1} << (n + 3)) - 3;
   }
-  const auto key = std::make_pair(m, n);
-  if (const auto it = memo.find(key); it != memo.end()) return it->second;
-  std::uint64_t result;
-  if (n == 0) {
-    result = ack_rec(m - 1, 1, memo);
-  } else {
-    const std::uint64_t inner = ack_rec(m, n - 1, memo);
-    result = inner >= ackermann_cap ? ackermann_cap
-                                    : ack_rec(m - 1, inner, memo);
-  }
-  memo[key] = result;
-  return result;
-}
-
-}  // namespace
-
-std::uint64_t ackermann(std::uint64_t m, std::uint64_t n) {
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> memo;
-  return ack_rec(m, n, memo);
+  // Row m by iteration over n: A(m, 0) = A(m-1, 1), then
+  // A(m, k) = A(m-1, A(m, k-1)).  Recursion goes one row down per level, so
+  // its depth is bounded by m; the walk along n stops at the cap, which
+  // row 4 already reaches at A(4, 2).
+  std::uint64_t a = ackermann(m - 1, 1);
+  for (std::uint64_t k = 1; k <= n && a < ackermann_cap; ++k)
+    a = ackermann(m - 1, a);
+  return a;
 }
 
 unsigned inverse_ackermann(std::uint64_t m, std::uint64_t n) {

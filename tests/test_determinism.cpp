@@ -8,7 +8,6 @@
 #include "core/checker.h"
 #include "core/runner.h"
 #include "graph/topology.h"
-#include "telemetry/report.h"
 
 namespace asyncrd {
 namespace {
@@ -112,64 +111,6 @@ TEST(Determinism, ChaosExecutionsReplayByteForByte) {
                       rl.dup_suppressed};
   };
   EXPECT_EQ(run_once(), run_once());
-}
-
-TEST(Determinism, WireModeIsObservationallyIdenticalToStructMode) {
-  // The wire codec must be a pure transport representation change: with the
-  // wire.* counters excluded, a wire-mode run's full telemetry report —
-  // stats, bit accounting, load histogram, state transitions — must equal
-  // the struct-mode report byte for byte, for every variant.
-  const auto g = graph::random_weakly_connected(60, 120, 17);
-  for (const auto v : {variant::generic, variant::bounded, variant::adhoc}) {
-    const auto report_once = [&](bool wire) {
-      sim::random_delay_scheduler sched(17);
-      core::config cfg;
-      cfg.algo = v;
-      core::discovery_run run(g, cfg, sched);
-      if (wire) run.enable_wire();
-      run.wake_all();
-      const sim::run_result r = run.run();
-      EXPECT_TRUE(r.completed);
-      telemetry::run_report rep = telemetry::collect_run_report(run, r);
-      rep.wall_ms = 0.0;  // host clock
-      rep.events_per_sec = 0.0;
-      rep.wire = {};  // the only intended observable difference
-      return rep.to_json();
-    };
-    EXPECT_EQ(report_once(true), report_once(false))
-        << "variant " << static_cast<int>(v);
-  }
-}
-
-TEST(Determinism, WireChaosExecutionsReplayByteForByte) {
-  // Wire framing under a lossy transport: replays must match frame for
-  // frame, byte counter for byte counter.
-  const auto g = graph::random_weakly_connected(40, 80, 23);
-  const auto run_once = [&]() {
-    sim::random_delay_scheduler sched(23);
-    core::config cfg;
-    core::discovery_run run(g, cfg, sched);
-    run.enable_wire();
-    sim::fault_plan plan;
-    plan.seed = 23;
-    plan.drop = 0.15;
-    plan.duplicate = 0.1;
-    plan.reorder_slack = 16;
-    run.enable_chaos(plan);
-    run.wake_all();
-    const auto r = run.run();
-    EXPECT_TRUE(r.completed);
-    return std::tuple{run.statistics().total_messages(),
-                      run.statistics().total_bits(),
-                      r.events_processed,
-                      run.net().now(),
-                      run.leaders(),
-                      run.net().wire_bytes_sent(),
-                      run.net().wire_frames()};
-  };
-  const auto a = run_once();
-  EXPECT_GT(std::get<5>(a), 0u);  // wire mode was actually on
-  EXPECT_EQ(a, run_once());
 }
 
 TEST(Determinism, StatsByTypeReplayExactly) {

@@ -78,14 +78,46 @@ TEST(FlatSet, RandomizedParityWithStdSet) {
   flat_set<std::uint32_t> fs;
   std::set<std::uint32_t> ss;
   rng r(99);
+  std::vector<std::uint32_t> batch;
+  // Bulk insert of an unsorted range with duplicates drawn from
+  // [from, from + span).
+  const auto bulk = [&](std::uint32_t from, std::uint32_t span) {
+    batch.clear();
+    const std::uint64_t k = 1 + r.below(12);
+    for (std::uint64_t i = 0; i < k; ++i)
+      batch.push_back(from + static_cast<std::uint32_t>(r.below(span)));
+    batch.push_back(batch.front());
+    fs.insert(batch.begin(), batch.end());
+    ss.insert(batch.begin(), batch.end());
+    EXPECT_TRUE(fs == ss);
+  };
   for (int step = 0; step < 5000; ++step) {
     const std::uint32_t v = static_cast<std::uint32_t>(r.below(400));
-    switch (r.below(3)) {
+    switch (r.below(5)) {
       case 0:
         EXPECT_EQ(fs.insert(v), ss.insert(v).second);
         break;
       case 1:
         EXPECT_EQ(fs.erase(v), ss.erase(v));
+        break;
+      case 2: {
+        // A range landing below, inside or above the existing values.
+        const std::uint32_t lo = ss.empty() ? 0 : *ss.begin();
+        const std::uint32_t hi = ss.empty() ? 0 : *ss.rbegin();
+        switch (r.below(3)) {
+          case 0: bulk(0, lo + 1); break;
+          case 1: bulk(lo, hi - lo + 1); break;
+          default: bulk(hi, 50); break;
+        }
+        break;
+      }
+      case 3:
+        // Now and then, start over with a range into the empty set.
+        if (r.below(50) == 0) {
+          fs.clear();
+          ss.clear();
+          bulk(static_cast<std::uint32_t>(r.below(400)), 100);
+        }
         break;
       default:
         EXPECT_EQ(fs.contains(v), ss.count(v) == 1);

@@ -77,14 +77,7 @@ TEST(DispatchTagName, CoversCoreAndLinkVocabulary) {
             "report_ack");
   EXPECT_EQ(telemetry::dispatch_tag_name(sim::rl_data_tag), "rl.data");
   EXPECT_EQ(telemetry::dispatch_tag_name(sim::rl_ack_tag), "rl.ack");
-  // The high bit now marks an encoded wire frame carrying the inner tag
-  // (except the rl.* envelope tags above, which predate the wire bit).
-  EXPECT_EQ(telemetry::dispatch_tag_name(
-                sim::wire::wire_bit |
-                static_cast<std::uint8_t>(core::msg_kind::search)),
-            "wire.search");
   EXPECT_EQ(telemetry::dispatch_tag_name(100), "tag:100");
-  EXPECT_EQ(telemetry::dispatch_tag_name(200), "wire.tag:72");
 }
 
 TEST(Watchdog, DerivesProbeIntervalFromWindow) {

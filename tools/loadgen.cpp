@@ -22,9 +22,10 @@
 //      discovery result with core::check_membership — the same paper
 //      properties (exactly one leader per weak component, complete done
 //      set, routed non-leaders, no parked work) sim tests assert;
-//   6. run the in-process simulator twin (same graph, same variant, wire
-//      codec armed) and emit BENCH_service_loopback.json comparing
-//      convergence time, messages, and wire bytes;
+//   6. run the in-process simulator twin (same graph, same variant) and
+//      emit BENCH_service_loopback.json with the convergence time, the
+//      service's messages, frames and wire bytes, and the twin's message
+//      count;
 //   7. dg_stop everything and reap; any child exiting nonzero fails the
 //      run.
 //
@@ -260,10 +261,8 @@ int main(int argc, char** argv) {
               m.more_empty = (flags & net::state_flag_more_empty) != 0;
               m.unaware_empty = (flags & net::state_flag_unaware_empty) != 0;
               m.next = static_cast<node_id>(r.varint());
-              const auto done = sim::wire::id_set_view::parse(r);
+              sim::wire::read_id_set(r, m.done);
               r.expect_end();
-              for (const std::uint64_t v : done)
-                m.done.push_back(static_cast<node_id>(v));
               // Idempotent finalize: children re-send on every dg_finalize,
               // so the first copy of each node's state wins.
               if (member_ids.insert(m.id).second)
@@ -428,14 +427,12 @@ int main(int argc, char** argv) {
     // --- 6. simulator twin + bench report --------------------------------
     sim::unit_delay_scheduler sched;
     core::discovery_run twin(g, cfg, sched);
-    twin.enable_wire();
     twin.wake_all();
     const sim::run_result twin_res = twin.run();
     const core::check_report twin_verdict = core::check_final_state(twin, g);
     if (!twin_res.completed || !twin_verdict.ok())
       return fail("simulator twin failed its own checker");
     const std::uint64_t sim_messages = twin.net().statistics().total_messages();
-    const std::uint64_t sim_bytes = twin.net().wire_bytes_sent();
 
     const double dn = static_cast<double>(n);
     rep.add("convergence_ms", dn, convergence_ms, 0.0);
@@ -443,7 +440,6 @@ int main(int argc, char** argv) {
     rep.add("service_wire_frames", dn, static_cast<double>(svc_frames), 0.0);
     rep.add("service_wire_bytes", dn, static_cast<double>(svc_bytes), 0.0);
     rep.add("sim_messages", dn, static_cast<double>(sim_messages), 0.0);
-    rep.add("sim_wire_bytes", dn, static_cast<double>(sim_bytes), 0.0);
     rep.merge_stats(twin.net().statistics());
     rep.note("procs", static_cast<double>(procs));
     rep.note("seed", static_cast<double>(seed));
@@ -453,10 +449,6 @@ int main(int argc, char** argv) {
              sim_messages > 0 ? static_cast<double>(svc_messages) /
                                     static_cast<double>(sim_messages)
                               : 0.0);
-    rep.note("service_vs_sim_bytes",
-             sim_bytes > 0 ? static_cast<double>(svc_bytes) /
-                                 static_cast<double>(sim_bytes)
-                           : 0.0);
 
     // --- 7. stop + reap ---------------------------------------------------
     send_to_all({net::dg_stop});
