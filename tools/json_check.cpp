@@ -220,13 +220,14 @@ bool check_profile(const std::string& path, const json_value& prof) {
   return ok;
 }
 
-/// "wire" (optional; present when the binary codec was armed):
+/// "wire" (optional; present in service shard reports, which count the
+/// frames put on the socket):
 /// {"enabled": bool, "bytes_sent", "frames", "by_type": {type: {"count",
 /// "bytes"}, ...}} — non-negative numerics, every per-type byte total at
 /// least its frame count (each frame carries >= 1 header byte), and when
 /// the same type appears in messages_by_type its wire frame count must not
-/// exceed the recorded message count (chaos duplicates re-record stats but
-/// not wire frames; they are never lower).
+/// exceed the recorded message count (only sends that leave the shard are
+/// framed, so they are never lower).
 bool check_wire(const std::string& path, const json_value& wire,
                 const json_value* messages_by_type) {
   if (!wire.is_object())
@@ -350,8 +351,8 @@ bool check_report(const std::string& path, const json_value& doc) {
   if (v3 && prof == nullptr)
     ok = complain(path, doc.offset, "missing required key \"profile\"");
   if (prof != nullptr) ok = check_profile(path, *prof) && ok;
-  // "wire" is optional at every version (emitted only when the codec was
-  // armed), but when present its shape must be right.
+  // "wire" is optional at every version (emitted only by service shards),
+  // but when present its shape must be right.
   if (const json_value* wire = doc.find("wire"))
     ok = check_wire(path, *wire, doc.find("messages_by_type")) && ok;
   return ok;
