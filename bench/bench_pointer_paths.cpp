@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     cfg.census_in_probe_reply = false;
     core::discovery_run run(g, cfg, sched);
     sim::load_observer load;
-    run.net().set_observer(&load);
+    run.net().add_observer(&load);
     run.wake_all();
     run.run();
     const node_id leader = run.leaders().front();

@@ -37,7 +37,6 @@
 #include "core/checker.h"
 #include "core/messages.h"
 #include "core/node.h"
-#include "core/regroup.h"
 #include "core/runner.h"
 #include "core/status.h"
 #include "core/trace.h"
@@ -57,6 +56,3 @@
 #include "baselines/flooding.h"
 #include "baselines/name_dropper.h"
 #include "baselines/pointer_doubling.h"
-
-#include "overlay/dht.h"
-#include "overlay/ring.h"

@@ -23,36 +23,36 @@ struct flood_msg final : sim::message {
 class flood_process final : public sim::process {
  public:
   explicit flood_process(node_id self, std::set<node_id> neighbors)
-      : self_(self), known_(std::move(neighbors)) {
-    known_.insert(self_);
+      : self_(self), ids_(std::move(neighbors)) {
+    ids_.insert(self_);
   }
 
   void on_wake(sim::context& ctx) override {
     // Announce everything we know to everyone we know.
-    broadcast(ctx, {known_.begin(), known_.end()});
+    broadcast(ctx, {ids_.begin(), ids_.end()});
   }
 
   void on_message(sim::context& ctx, node_id from,
                   const sim::message_ptr& m) override {
     const auto& fm = static_cast<const flood_msg&>(*m);
     std::vector<node_id> fresh;
-    if (known_.insert(from).second) fresh.push_back(from);
+    if (ids_.insert(from).second) fresh.push_back(from);
     for (const node_id v : fm.ids)
-      if (known_.insert(v).second) fresh.push_back(v);
+      if (ids_.insert(v).second) fresh.push_back(v);
     if (!fresh.empty()) broadcast(ctx, fresh);
   }
 
-  const std::set<node_id>& known() const noexcept { return known_; }
+  const std::set<node_id>& known() const noexcept { return ids_; }
 
  private:
   void broadcast(sim::context& ctx, std::vector<node_id> delta) {
     auto msg = sim::make_message<flood_msg>(std::move(delta));
-    for (const node_id v : known_)
+    for (const node_id v : ids_)
       if (v != self_) ctx.send(v, msg);
   }
 
   node_id self_;
-  std::set<node_id> known_;
+  std::set<node_id> ids_;
 };
 
 }  // namespace

@@ -120,35 +120,4 @@ class flat_u64_map {
   unsigned shift_ = 64;
 };
 
-/// Membership-only companion to flat_u64_map: a hash set of 64-bit keys
-/// (same empty-key restriction, no erase).  For sets that are queried and
-/// grown on the hot path but whose *order* carries no meaning — e.g. the
-/// discovery engine's knowledge-audit sets, where a sorted container would
-/// pay an O(size) shift (flat vector) or a pointer chase per op (tree) for
-/// ordering nobody reads.  Iteration via for_each is unspecified-order;
-/// callers that need determinism must sort what they collect.
-class flat_u64_set {
- public:
-  std::size_t size() const noexcept { return map_.size(); }
-  bool empty() const noexcept { return map_.empty(); }
-  void reserve(std::size_t n) { map_.reserve(n); }
-  void clear() noexcept { map_.clear(); }
-
-  bool contains(std::uint64_t key) const noexcept {
-    return map_.find(key) != flat_u64_map::npos;
-  }
-
-  /// Idempotent; returns true iff the key was newly inserted.
-  bool insert(std::uint64_t key) { return map_.try_insert(key, 0); }
-
-  /// Visits every key in unspecified order.
-  template <typename F>
-  void for_each(F&& f) const {
-    map_.for_each([&f](std::uint64_t k, std::uint32_t) { f(k); });
-  }
-
- private:
-  flat_u64_map map_;
-};
-
 }  // namespace asyncrd

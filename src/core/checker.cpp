@@ -245,8 +245,8 @@ void liveness_monitor::on_deliver(sim::sim_time t, node_id, node_id,
   }
 }
 
-void structure_monitor::on_deliver(sim::sim_time t, node_id from, node_id to,
-                                   const sim::message& m) {
+void structure_monitor::on_deliver(sim::sim_time t, node_id, node_id,
+                                   const sim::message&) {
   if (violations_.size() < 16) {
     for (const node_id v : run_->ids()) {
       const node& nd = run_->at(v);
@@ -270,7 +270,6 @@ void structure_monitor::on_deliver(sim::sim_time t, node_id from, node_id to,
       }
     }
   }
-  if (chain_ != nullptr) chain_->on_deliver(t, from, to, m);
 }
 
 std::vector<bound_row> check_message_bounds(const sim::stats& st,

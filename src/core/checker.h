@@ -89,25 +89,16 @@ class liveness_monitor final : public sim::observer {
 };
 
 /// Structural invariant, checked after every delivery when installed as an
-/// observer (chain through liveness_monitor via `chain`): the next-pointer
-/// graph restricted to inactive nodes is acyclic — every routing chain
-/// reaches a non-inactive node within n hops.  A cycle would wedge every
-/// search routed into it; the engine prevents cycles by keeping pointer
-/// updates monotone in (phase, id).
+/// observer: the next-pointer graph restricted to inactive nodes is acyclic
+/// — every routing chain reaches a non-inactive node within n hops.  A cycle
+/// would wedge every search routed into it; the engine prevents cycles by
+/// keeping pointer updates monotone in (phase, id).
 class structure_monitor final : public sim::observer {
  public:
-  explicit structure_monitor(const discovery_run& run, sim::observer* chain = nullptr)
-      : run_(&run), chain_(chain) {}
+  explicit structure_monitor(const discovery_run& run) : run_(&run) {}
 
   void on_deliver(sim::sim_time t, node_id from, node_id to,
                   const sim::message& m) override;
-  void on_send(sim::sim_time t, node_id from, node_id to,
-               const sim::message& m) override {
-    if (chain_ != nullptr) chain_->on_send(t, from, to, m);
-  }
-  void on_wake(sim::sim_time t, node_id v) override {
-    if (chain_ != nullptr) chain_->on_wake(t, v);
-  }
 
   const std::vector<std::string>& violations() const noexcept {
     return violations_;
@@ -116,7 +107,6 @@ class structure_monitor final : public sim::observer {
 
  private:
   const discovery_run* run_;
-  sim::observer* chain_;
   std::vector<std::string> violations_;
 };
 

@@ -44,8 +44,6 @@ node::node(node_id id, const config& cfg, std::set<node_id> initial_local,
       local_(initial_local),  // ordered input: adopted without a re-sort
       next_(id) {
   local_.erase(id_);  // a node trivially knows itself; never reported
-  for (const node_id v : local_) known_.insert(v);
-  known_.insert(id_);
   more_.insert(id_);  // Fig 2: more initially contains {id}
 }
 
@@ -72,35 +70,10 @@ void node::wake_body(sim::context& ctx) {
 
 void node::on_message(sim::context& ctx, node_id from,
                       const sim::message_ptr& m) {
-  contacts_.insert(from);
   if (accepts(*m))
     handle(ctx, from, m);
   else
     deferred_.emplace_back(from, m);
-}
-
-bool node::knows_id(node_id v) const {
-  return v == id_ || known_.contains(v) || local_.contains(v) ||
-         is_member(v) || unexplored_.contains(v) || contacts_.contains(v) ||
-         next_ == v;
-}
-
-std::set<node_id> node::known_ids() const {
-  std::set<node_id> out;
-  known_.for_each([&out](std::uint64_t k) {
-    out.insert(static_cast<node_id>(k));
-  });
-  out.insert(local_.begin(), local_.end());
-  out.insert(more_.begin(), more_.end());
-  out.insert(done_.begin(), done_.end());
-  out.insert(unaware_.begin(), unaware_.end());
-  out.insert(unexplored_.begin(), unexplored_.end());
-  contacts_.for_each([&out](std::uint64_t k) {
-    out.insert(static_cast<node_id>(k));
-  });
-  if (next_ != id_) out.insert(next_);
-  out.erase(id_);
-  return out;
 }
 
 bool node::accepts(const sim::message& m) const {
@@ -251,7 +224,6 @@ void node::handle_search(sim::context& ctx, node_id from, const search_msg& s,
   bool new_flag = s.new_flag;
   if (s.target == id_ && s.initiator != id_ &&
       !local_.contains(s.initiator)) {
-    known_.insert(s.initiator);
     local_.insert(s.initiator);
     new_flag = true;
   }
@@ -284,7 +256,6 @@ void node::handle_release(sim::context& ctx, const release_msg& r,
       // passive / conquered / inactive: Fig 4-6 — a merge request can no
       // longer be honored; an abort needs no action.
       if (r.answer == release_msg::answer_t::merge) {
-        contacts_.insert(r.from_leader);  // id learned from the payload
         ctx.send(r.from_leader, sim::make_message<merge_fail_msg>());
         // The knowledge graph grew: we just received from_leader's id
         // (§1: "the edge set E grows each time a node receives an id of
@@ -507,7 +478,6 @@ void node::leader_on_own_release(sim::context& ctx, const release_msg& m) {
     return;
   }
   // Fig 4's release-merge arm (typo corrected): wait -> conqueror.
-  contacts_.insert(m.from_leader);  // id learned from the release payload
   ctx.send(m.from_leader, sim::make_message<merge_accept_msg>(id_, phase_));
   set_status(status_t::conqueror);
   drain_deferred(ctx);
@@ -525,7 +495,6 @@ void node::maybe_resume_explore(sim::context& ctx) {
 
 void node::on_merge_accept(sim::context& ctx, const merge_accept_msg& m) {
   ASYNCRD_CHECK(status_ == status_t::conquered);
-  contacts_.insert(m.conqueror);  // id learned from the payload
   maybe_update_next(m.conqueror_phase, m.conqueror);
   // If our unreported pool regrew after we had emptied it (a search's new
   // flag or a refused merge re-injected an id), we must ship ourselves in
@@ -648,7 +617,6 @@ void node::route_reply(sim::context& ctx, node_id /*new_next*/,
 void node::on_conquer(sim::context& ctx, node_id from, const conquer_msg& m) {
   ASYNCRD_CHECK(status_ == status_t::inactive);
   (void)from;
-  contacts_.insert(m.leader);  // id learned from the payload
   // §4.4 text: only "a phase higher than its current leader" redirects the
   // pointer (Fig 5 omits the guard; see node.h).
   maybe_update_next(m.phase, m.leader);
@@ -705,14 +673,13 @@ void node::initiate_probe(sim::network& net) {
 }
 
 void node::add_link(sim::network& net, node_id target) {
-  if (target == id_ || known_.contains(target)) return;
+  if (target == next_) return;
   sim::context ctx(net, id_);
   learn_id(ctx, target);
 }
 
 void node::learn_id(sim::context& ctx, node_id w) {
   if (w == id_ || is_member(w) || local_.contains(w)) return;
-  known_.insert(w);
   if (status_ == status_t::asleep) {
     local_.insert(w);  // reported naturally after wake-up
     return;
@@ -758,7 +725,6 @@ void node::prune_unexplored() {
 }
 
 void node::send_search(sim::context& ctx, node_id u) {
-  known_.insert(u);  // u was just popped from unexplored_; keep the audit trail
   ctx.send(u, sim::make_message<search_msg>(id_, phase_, u, false));
 }
 

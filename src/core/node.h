@@ -27,7 +27,6 @@
 #include <set>
 #include <vector>
 
-#include "common/flat_hash.h"
 #include "common/flat_set.h"
 #include "common/ids.h"
 #include "core/messages.h"
@@ -102,7 +101,12 @@ class node final : public sim::process {
   /// lands in last_census() after the network runs.
   void initiate_probe(sim::network& net);
 
-  /// §6: a new link (this -> target) appears at run time.
+  /// §6: a new link (this -> target) appears at run time.  A link to the
+  /// node's own `next` costs nothing; any other target goes to learn_id,
+  /// which skips only ids the node holds in its sets.  The node keeps no
+  /// record of ids it already reported or searched, so re-adding such a
+  /// link is handled as a new link (for an inactive node, a report round
+  /// trip).
   void add_link(sim::network& net, node_id target);
 
   // --- inspection (checker / benches) -------------------------------------
@@ -130,17 +134,6 @@ class node final : public sim::process {
   bool has_deferred() const noexcept { return !deferred_.empty(); }
   /// Type names of parked messages (diagnostics; empty when none).
   std::vector<std::string> deferred_types() const;
-
-  /// Knowledge-graph audit: true iff this node has ever learned `v`'s id
-  /// through any channel the model admits (initial edges, message payloads,
-  /// message receipt).  Every send this node performs must target a node
-  /// for which knows_id() holds — tests enforce this discipline.
-  bool knows_id(node_id v) const;
-
-  /// Every id this node currently knows (the union knows_id draws from,
-  /// minus itself).  This is what survives a crash-stop of other nodes:
-  /// core/regroup.h seeds the post-removal re-discovery from it.
-  std::set<node_id> known_ids() const;
 
  private:
   // -- state transitions ----------------------------------------------------
@@ -226,17 +219,6 @@ class node final : public sim::process {
   // "smallest first" choice is preserved, at a fraction of the per-element
   // cost on the delivery hot path.
   flat_set<node_id> local_;
-  /// Every id this node has ever had in `local` (E0 out-neighborhood plus
-  /// ids learned from search preprocessing and dynamic link additions).
-  /// Audit-only (membership queries; never iterated for protocol
-  /// decisions), so a hash set: grown once per search at hub nodes.
-  flat_u64_set known_;
-  /// Every node this node has ever received a message from (the model also
-  /// grows E on receipt: a message implicitly carries its sender's id).
-  /// Only used by knows_id() for the knowledge-discipline audit — a hash
-  /// set: one idempotent insert per delivered message is the single most
-  /// frequent set operation in the engine.
-  flat_u64_set contacts_;
   flat_set<node_id> more_, done_, unaware_, unexplored_;
   /// FIFO of (routed request, node it arrived from) awaiting this node's
   /// `next` hop; only the head is in flight at any time.

@@ -12,7 +12,8 @@
 //
 // The knowledge-graph constraint (u may only message nodes whose id it
 // knows) is the *algorithms'* obligation; the network transports any
-// (from, to) pair and the checker audits knowledge-graph discipline.
+// (from, to) pair.  Tests audit the discipline with an observer that
+// replays the model's E-growth rule over the send/deliver stream.
 //
 // Chaos mode relaxes "reliable": an installed fault_plan drops, duplicates,
 // extra-delays, or outage-blackholes transmissions at the send/release
@@ -195,7 +196,6 @@ class multi_observer final : public observer {
   /// Unregisters; returns false if the observer was not registered.
   bool remove(observer* obs);
 
-  void clear() noexcept { observers_.clear(); }
   std::size_t size() const noexcept { return observers_.size(); }
   bool empty() const noexcept { return observers_.empty(); }
 
@@ -436,13 +436,6 @@ class network : public transport {
 
   void add_observer(observer* obs) { observers_.add(obs); }
   bool remove_observer(observer* obs) { return observers_.remove(obs); }
-
-  /// Legacy single-observer interface: clears the list, then registers
-  /// `obs` (nullptr just clears).
-  void set_observer(observer* obs) {
-    observers_.clear();
-    if (obs != nullptr) observers_.add(obs);
-  }
 
   // --- runtime health ----------------------------------------------------
   //

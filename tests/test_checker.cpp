@@ -5,6 +5,7 @@
 #include "core/checker.h"
 #include "core/runner.h"
 #include "graph/topology.h"
+#include "test_util.h"
 
 namespace asyncrd {
 namespace {
@@ -76,10 +77,28 @@ TEST(Checker, LivenessMonitorQuietOnCorrectRun) {
   core::config cfg;
   core::discovery_run run(g, cfg, sched);
   core::liveness_monitor mon(run, g.weak_components());
-  run.net().set_observer(&mon);
+  run.net().add_observer(&mon);
   run.wake_all();
   run.run();
   EXPECT_TRUE(mon.ok());
+}
+
+TEST(Checker, KnowledgeAuditCountsSendsToUnknownIds) {
+  // On the path 0 -> 1 -> 2, node 0 knows 1 but not 2.
+  const auto g = graph::directed_path(3);
+  sim::unit_delay_scheduler sched;
+  core::config cfg;
+  core::discovery_run run(g, cfg, sched);
+  testing::knowledge_audit audit(g);
+  run.net().add_observer(&audit);
+  sim::context ctx(run.net(), 0);
+
+  ctx.send(1, sim::make_message<core::query_msg>(1));
+  EXPECT_EQ(audit.violations(), 0);
+
+  ctx.send(2, sim::make_message<core::query_msg>(1));
+  EXPECT_EQ(audit.violations(), 1);
+  EXPECT_EQ(audit.first_violation(), "0 -> 2 (query)");
 }
 
 TEST(Checker, ReportToStringListsEachViolation) {

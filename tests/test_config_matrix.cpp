@@ -35,7 +35,7 @@ class ConfigMatrix : public ::testing::TestWithParam<param> {
     const core::config cfg = make_config();
     core::discovery_run run(g, cfg, *sched);
     core::structure_monitor structure(run);
-    run.net().set_observer(&structure);
+    run.net().add_observer(&structure);
     run.wake_all();
     const auto r = run.run();
     ASSERT_TRUE(r.completed);

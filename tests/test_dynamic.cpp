@@ -117,6 +117,43 @@ TEST(Dynamic, DuplicateLinkAdditionIsFree) {
   EXPECT_EQ(run.statistics().total_messages(), before);
 }
 
+TEST(Dynamic, RepeatedE0LinkOfInactiveNodeIsReportedAgain) {
+  // A node keeps no record of the ids it has already reported, so an E0
+  // link added again is a new §6 link unless it points at the node's own
+  // `next`: an inactive node with an empty local pool sends a report.
+  const graph::digraph g = graph::random_weakly_connected(15, 15, 8);
+  sim::unit_delay_scheduler sched;
+  core::config cfg;
+  cfg.algo = variant::adhoc;
+  core::discovery_run run(g, cfg, sched);
+  run.wake_all();
+  run.run();
+  const auto leaders = run.leaders();
+  ASSERT_EQ(leaders.size(), 1u);
+
+  node_id u = invalid_node, b = invalid_node;
+  for (const node_id v : run.ids()) {
+    if (run.at(v).status() != core::status_t::inactive) continue;
+    for (const node_id w : g.out(v)) {
+      if (w != run.at(v).next()) {
+        u = v;
+        b = w;
+        break;
+      }
+    }
+    if (u != invalid_node) break;
+  }
+  ASSERT_NE(u, invalid_node) << "no inactive node with an E0 link off next";
+
+  const auto reports = run.statistics().messages_of("report");
+  run.add_link_dynamic(u, b);
+  run.run();
+  EXPECT_GT(run.statistics().messages_of("report"), reports);
+  const auto rep = core::check_final_state(run, g);
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_EQ(run.leaders(), leaders);
+}
+
 TEST(Dynamic, IncrementalCostBeatsFromScratch) {
   // Theorem 8's point: absorbing n_hat additions costs far less than
   // re-running discovery on the grown network.

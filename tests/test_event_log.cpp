@@ -37,7 +37,7 @@ sim::event_log run_logged(const graph::digraph& g, std::size_t capacity) {
   core::config cfg;
   core::discovery_run run(g, cfg, sched);
   sim::event_log log(capacity);
-  run.net().set_observer(&log);
+  run.net().add_observer(&log);
   run.wake_all();
   run.run();
   return log;

@@ -1,14 +1,12 @@
-// flat_set / flat_u64_map / flat_u64_set: the dense-core replacements for
-// the engine's std::set / std::map members.  flat_set must be observably
-// identical to std::set (ascending iteration — the determinism contract);
-// the hash containers must agree with a reference map/set under randomized
-// workloads.
+// flat_set / flat_u64_map: the dense-core replacements for the engine's
+// std::set / std::map members.  flat_set must be observably identical to
+// std::set (ascending iteration — the determinism contract); the hash map
+// must agree with a reference map under randomized workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -182,34 +180,6 @@ TEST(FlatU64Map, ClearResets) {
   EXPECT_EQ(m.find(1), flat_u64_map::npos);
   m.insert(1, 3);  // usable after clear
   EXPECT_EQ(m.find(1), 3u);
-}
-
-// --- flat_u64_set ---------------------------------------------------------
-
-TEST(FlatU64Set, InsertIsIdempotent) {
-  flat_u64_set s;
-  EXPECT_TRUE(s.insert(42));
-  EXPECT_FALSE(s.insert(42));
-  EXPECT_TRUE(s.contains(42));
-  EXPECT_FALSE(s.contains(43));
-  EXPECT_EQ(s.size(), 1u);
-}
-
-TEST(FlatU64Set, RandomizedParityWithUnorderedSet) {
-  flat_u64_set fs;
-  std::unordered_set<std::uint64_t> ref;
-  rng r(11);
-  for (int i = 0; i < 4000; ++i) {
-    const std::uint64_t k = r.below(1500);
-    EXPECT_EQ(fs.insert(k), ref.insert(k).second);
-  }
-  EXPECT_EQ(fs.size(), ref.size());
-  std::size_t visited = 0;
-  fs.for_each([&](std::uint64_t k) {
-    EXPECT_EQ(ref.count(k), 1u);
-    ++visited;
-  });
-  EXPECT_EQ(visited, ref.size());
 }
 
 }  // namespace

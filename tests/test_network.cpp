@@ -296,7 +296,7 @@ TEST(Network, ObserverSeesSendsAndDeliveries) {
   sim::network net(sched);
   net.add_node(1, std::make_unique<burst_process>(2, 5));
   net.add_node(2, std::make_unique<recorder_process>());
-  net.set_observer(&obs);
+  net.add_observer(&obs);
   net.wake(1);
   net.run();
   EXPECT_EQ(obs.sends, 5);

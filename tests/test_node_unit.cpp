@@ -31,15 +31,6 @@ TEST(NodeUnit, SelfIdStrippedFromInitialLocal) {
   EXPECT_EQ(n.local(), (std::set<node_id>{1, 3}));
 }
 
-TEST(NodeUnit, KnowsIdCoversInitialKnowledge) {
-  core::config cfg;
-  core::node n(5, cfg, {1, 2});
-  EXPECT_TRUE(n.knows_id(5));  // itself
-  EXPECT_TRUE(n.knows_id(1));
-  EXPECT_TRUE(n.knows_id(2));
-  EXPECT_FALSE(n.knows_id(3));
-}
-
 TEST(NodeUnit, IsolatedNodeWakesToIdleWait) {
   // A node that knows nobody: self-query drains instantly, ends WAIT-idle
   // as its own leader with done = {self}.

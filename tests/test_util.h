@@ -8,8 +8,11 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/checker.h"
+#include "core/messages.h"
 #include "core/runner.h"
 #include "core/trace.h"
 #include "graph/digraph.h"
@@ -18,37 +21,94 @@
 
 namespace asyncrd::testing {
 
-/// Audits the knowledge-graph discipline: every send must target a node the
-/// sender has already learned about.  Chained behind the liveness monitor.
+/// Audits the knowledge-graph discipline: every send must target a node
+/// the sender knows.  It reads only the message stream, never engine state,
+/// so it checks the engine instead of trusting the engine's own record.
+/// known(v) starts as out_E0(v) ∪ {v} and grows by the model's rule (§1:
+/// E grows "each time a node receives an id of a node it did not know of"):
+/// a delivery teaches the receiver the sender and every id in the payload.
 class knowledge_audit final : public sim::observer {
  public:
-  knowledge_audit(const core::discovery_run& run, sim::observer* chain)
-      : run_(&run), chain_(chain) {}
-
-  void on_send(sim::sim_time t, node_id from, node_id to,
-               const sim::message& m) override {
-    if (!run_->at(from).knows_id(to)) {
-      ++violations_;
-      if (detail_.empty())
-        detail_ = std::to_string(from) + " -> " + std::to_string(to) + " (" +
-                  std::string(m.type_name()) + ")";
+  explicit knowledge_audit(const graph::digraph& g) {
+    for (const node_id v : g.nodes()) {
+      std::unordered_set<node_id>& k = learned_[v];
+      k.insert(g.out(v).begin(), g.out(v).end());
+      k.insert(v);
     }
-    if (chain_ != nullptr) chain_->on_send(t, from, to, m);
   }
-  const std::string& first_violation() const noexcept { return detail_; }
-  void on_deliver(sim::sim_time t, node_id from, node_id to,
+
+  void on_send(sim::sim_time, node_id from, node_id to,
+               const sim::message& m) override {
+    if (learned_[from].contains(to)) return;
+    ++violations_;
+    if (detail_.empty())
+      detail_ = std::to_string(from) + " -> " + std::to_string(to) + " (" +
+                std::string(m.type_name()) + ")";
+  }
+
+  void on_deliver(sim::sim_time, node_id from, node_id to,
                   const sim::message& m) override {
-    if (chain_ != nullptr) chain_->on_deliver(t, from, to, m);
-  }
-  void on_wake(sim::sim_time t, node_id v) override {
-    if (chain_ != nullptr) chain_->on_wake(t, v);
+    using core::msg_kind;
+    std::unordered_set<node_id>& k = learned_[to];
+    k.insert(from);
+    const auto learn = [&k](const core::id_vec& ids) {
+      k.insert(ids.begin(), ids.end());
+    };
+    switch (static_cast<msg_kind>(m.dispatch_tag())) {
+      case msg_kind::query_reply:
+        learn(static_cast<const core::query_reply_msg&>(m).ids);
+        break;
+      case msg_kind::search: {
+        const auto& s = static_cast<const core::search_msg&>(m);
+        k.insert({s.initiator, s.target});
+        break;
+      }
+      case msg_kind::release: {
+        const auto& r = static_cast<const core::release_msg&>(m);
+        k.insert({r.from_leader, r.initiator});
+        break;
+      }
+      case msg_kind::merge_accept:
+        k.insert(static_cast<const core::merge_accept_msg&>(m).conqueror);
+        break;
+      case msg_kind::info: {
+        const auto& i = static_cast<const core::info_msg&>(m);
+        learn(i.more);
+        learn(i.done);
+        learn(i.unaware);
+        learn(i.unexplored);
+        break;
+      }
+      case msg_kind::conquer:
+        k.insert(static_cast<const core::conquer_msg&>(m).leader);
+        break;
+      case msg_kind::probe:
+        k.insert(static_cast<const core::probe_msg&>(m).requester);
+        break;
+      case msg_kind::probe_reply: {
+        const auto& pr = static_cast<const core::probe_reply_msg&>(m);
+        k.insert({pr.leader, pr.requester});
+        learn(pr.census);
+        break;
+      }
+      case msg_kind::report:
+        k.insert(static_cast<const core::report_msg&>(m).reporter);
+        break;
+      case msg_kind::report_ack: {
+        const auto& ra = static_cast<const core::report_ack_msg&>(m);
+        k.insert({ra.leader, ra.reporter});
+        break;
+      }
+      default:
+        break;  // query, merge_fail and more_done carry no ids
+    }
   }
 
   int violations() const noexcept { return violations_; }
+  const std::string& first_violation() const noexcept { return detail_; }
 
  private:
-  const core::discovery_run* run_;
-  sim::observer* chain_;
+  std::unordered_map<node_id, std::unordered_set<node_id>> learned_;
   int violations_ = 0;
   std::string detail_;
 };
@@ -77,10 +137,12 @@ inline instrumented_result run_instrumented(const graph::digraph& g,
   cfg.trace = &out.transitions;
   core::discovery_run run(g, cfg, *sched);
 
+  knowledge_audit audit(g);
+  core::structure_monitor structure(run);
   core::liveness_monitor live(run, g.weak_components());
-  core::structure_monitor structure(run, &live);
-  knowledge_audit audit(run, &structure);
-  run.net().set_observer(&audit);
+  run.net().add_observer(&audit);
+  run.net().add_observer(&structure);
+  run.net().add_observer(&live);
 
   run.wake_all();
   const sim::run_result r = run.run();
