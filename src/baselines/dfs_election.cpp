@@ -26,7 +26,7 @@ baseline_result run_dfs_election(const graph::digraph& g) {
   // the incremental update, which is what a practical implementation ships).
   std::set<node_id> visited;
   std::vector<node_id> stack{start};
-  std::map<node_id, std::set<node_id>::const_iterator> cursor;
+  std::map<node_id, flat_set<node_id>::const_iterator> cursor;
   visited.insert(start);
   while (!stack.empty()) {
     const node_id v = stack.back();

@@ -22,8 +22,8 @@ struct flood_msg final : sim::message {
 
 class flood_process final : public sim::process {
  public:
-  explicit flood_process(node_id self, std::set<node_id> neighbors)
-      : self_(self), ids_(std::move(neighbors)) {
+  flood_process(node_id self, const flat_set<node_id>& neighbors)
+      : self_(self), ids_(neighbors.begin(), neighbors.end()) {
     ids_.insert(self_);
   }
 

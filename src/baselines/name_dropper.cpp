@@ -17,7 +17,7 @@ baseline_result run_name_dropper(const graph::digraph& g, std::uint64_t seed,
   // state[v] = v's current pointer set Gamma(v) (not counting v itself).
   std::map<node_id, std::set<node_id>> state;
   for (const node_id v : g.nodes()) {
-    state[v] = g.out(v);
+    state[v].insert(g.out(v).begin(), g.out(v).end());
     state[v].erase(v);
   }
 

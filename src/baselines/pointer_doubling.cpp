@@ -22,8 +22,8 @@ baseline_result run_pointer_doubling(const graph::digraph& g,
   std::map<node_id, nstate> st;
   for (const node_id v : g.nodes()) {
     nstate s;
-    s.contacts = g.out(v);
-    s.known = g.out(v);
+    s.contacts.insert(g.out(v).begin(), g.out(v).end());
+    s.known = s.contacts;
     s.known.insert(v);
     s.candidate = *s.known.rbegin();
     st[v] = std::move(s);

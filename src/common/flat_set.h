@@ -1,9 +1,10 @@
 // Sorted-vector set with std::set's ascending iteration order.
 //
 // The discovery engine's per-node id sets (local, more, done, unaware,
-// unexplored, known, contacts) are queried and iterated far more often than
-// they are mutated, and the protocol's bulk growth (info-message absorption)
-// arrives as already-sorted ranges.  A red-black tree pays an allocation and
+// unexplored) and the knowledge graph's out-lists (graph/digraph.h) are
+// queried and iterated far more often than they are mutated, and the
+// protocol's bulk growth (info-message absorption) arrives as
+// already-sorted ranges.  A red-black tree pays an allocation and
 // a pointer chase per element for ordering the flat vector gets for free;
 // profiles of large runs showed the _Rb_tree machinery among the simulator's
 // hottest symbols.  flat_set keeps the elements contiguous: membership is a
@@ -42,7 +43,7 @@ class flat_set {
   flat_set(It first, It last) : data_(first, last) {
     normalize();
   }
-  /// Adopts an ordered container (e.g. the std::set the harness API takes).
+  /// Adopts an ordered container without a re-sort.
   explicit flat_set(const std::set<T>& s) : data_(s.begin(), s.end()) {}
 
   const_iterator begin() const noexcept { return data_.begin(); }

@@ -248,13 +248,14 @@ void liveness_monitor::on_deliver(sim::sim_time t, node_id, node_id,
 void structure_monitor::on_deliver(sim::sim_time t, node_id, node_id,
                                    const sim::message&) {
   if (violations_.size() < 16) {
-    for (const node_id v : run_->ids()) {
+    const std::vector<node_id> ids = run_->ids();
+    const std::size_t limit = ids.size() + 1;
+    for (const node_id v : ids) {
       const node& nd = run_->at(v);
       if (nd.status() != status_t::inactive) continue;
       // Walk the chain; it must exit the inactive set within n hops.
       node_id cur = v;
       std::size_t hops = 0;
-      const std::size_t limit = run_->ids().size() + 1;
       while (run_->at(cur).status() == status_t::inactive && hops <= limit) {
         const node_id nxt = run_->at(cur).next();
         if (nxt == cur) break;  // self-pointing inactive node: broken

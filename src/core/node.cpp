@@ -36,12 +36,12 @@ id_vec to_vector(const flat_set<node_id>& s) { return {s.begin(), s.end()}; }
 
 }  // namespace
 
-node::node(node_id id, const config& cfg, std::set<node_id> initial_local,
+node::node(node_id id, const config& cfg, flat_set<node_id> initial_local,
            std::size_t component_size)
     : id_(id),
       cfg_(&cfg),
       component_size_(component_size),
-      local_(initial_local),  // ordered input: adopted without a re-sort
+      local_(std::move(initial_local)),
       next_(id) {
   local_.erase(id_);  // a node trivially knows itself; never reported
   more_.insert(id_);  // Fig 2: more initially contains {id}
@@ -595,7 +595,7 @@ void node::inactive_on_query(sim::context& ctx, node_id from,
 void node::route_request(sim::context& ctx, node_id from, sim::message_ptr m) {
   ASYNCRD_CHECK(status_ == status_t::inactive);
   ASYNCRD_CHECK(next_ != id_);
-  previous_.emplace_back(std::move(m), from);
+  previous_.push_back({std::move(m), from});
   // Only the head of the queue is in flight; the rest wait for its reply
   // (this serialization is what makes the search/release cost amortize like
   // a sequential union-find execution).
@@ -606,8 +606,7 @@ void node::route_reply(sim::context& ctx, node_id /*new_next*/,
                        sim::message_ptr m, node_id /*final_target*/) {
   ASYNCRD_CHECK(status_ == status_t::inactive);
   ASYNCRD_CHECK(!previous_.empty());
-  const node_id y = previous_.front().second;
-  previous_.pop_front();
+  const node_id y = previous_.pop_front().second;
   ctx.send(y, std::move(m));
   // Release the next queued request toward next_ — the caller has already
   // applied path compression (Fig 5 sets next := l before forwarding).

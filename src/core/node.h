@@ -22,11 +22,10 @@
 //    engine tracks awaiting_release_ explicitly.
 #pragma once
 
-#include <deque>
 #include <optional>
-#include <set>
 #include <vector>
 
+#include "common/fifo.h"
 #include "common/flat_set.h"
 #include "common/ids.h"
 #include "core/messages.h"
@@ -88,7 +87,7 @@ class node final : public sim::process {
   /// `initial_local` is the node's out-neighborhood in E0; `component_size`
   /// is required for variant::bounded (the Bounded model's extra knowledge)
   /// and ignored otherwise.
-  node(node_id id, const config& cfg, std::set<node_id> initial_local,
+  node(node_id id, const config& cfg, flat_set<node_id> initial_local,
        std::size_t component_size = 0);
 
   // --- sim::process ------------------------------------------------------
@@ -221,8 +220,9 @@ class node final : public sim::process {
   flat_set<node_id> local_;
   flat_set<node_id> more_, done_, unaware_, unexplored_;
   /// FIFO of (routed request, node it arrived from) awaiting this node's
-  /// `next` hop; only the head is in flight at any time.
-  std::deque<std::pair<sim::message_ptr, node_id>> previous_;
+  /// `next` hop; only the head is in flight at any time.  Most nodes never
+  /// route a request, and the fifo allocates nothing until one does.
+  fifo<std::pair<sim::message_ptr, node_id>> previous_;
   node_id next_;
   phase_t phase_ = 1;
   /// Phase of the leader `next_` points at (for the conquer guard).
@@ -234,7 +234,7 @@ class node final : public sim::process {
   /// True iff this leader has an outstanding search (WAIT awaits a release).
   bool awaiting_release_ = false;
   /// Messages the current state does not consume, in arrival order.
-  std::deque<std::pair<node_id, sim::message_ptr>> deferred_;
+  std::vector<std::pair<node_id, sim::message_ptr>> deferred_;
   /// Latest completed census (Ad-hoc probes).
   std::optional<census_result> census_;
   /// Probe requested before wake / while asleep — sent on wake.

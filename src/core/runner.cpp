@@ -14,15 +14,17 @@ discovery_run::discovery_run(const graph::digraph& g, config cfg,
   merge_tracker_.net = &net_;
   merge_tracker_.user = cfg_.trace;
   cfg_.trace = &merge_tracker_;
-  std::map<node_id, std::size_t> sizes;
-  if (cfg_.algo == variant::bounded) sizes = g.weak_component_sizes();
   // g.nodes() is ascending, and every generator hands out ids 0..n-1, so
   // the network's slot indices coincide with ids (the dense fast path);
   // arbitrary id sets still work through the hash fallback.
-  net_.reserve_nodes(g.node_count());
-  for (const node_id v : g.nodes()) {
+  const std::vector<node_id> ids = g.nodes();
+  graph::component_sizes sizes;  // aligned with ids
+  if (cfg_.algo == variant::bounded) sizes = g.weak_component_sizes();
+  net_.reserve_nodes(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const node_id v = ids[i];
     const std::size_t csize =
-        cfg_.algo == variant::bounded ? sizes.at(v) : std::size_t{0};
+        cfg_.algo == variant::bounded ? sizes[i] : std::size_t{0};
     net_.add_node(v, std::make_unique<node>(v, cfg_, g.out(v), csize));
   }
   if (g.node_count() > 2) net_.set_id_bits(ceil_log2(g.node_count()));
@@ -57,7 +59,7 @@ sim::run_result discovery_run::run(std::uint64_t max_events) {
 }
 
 void discovery_run::add_node_dynamic(node_id id,
-                                     std::set<node_id> initial_local) {
+                                     flat_set<node_id> initial_local) {
   // "there is no difference between a node joining the system at a certain
   // time and a node that wakes up at that time" (§6).
   net_.add_node(id, std::make_unique<node>(id, cfg_, std::move(initial_local),

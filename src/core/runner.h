@@ -84,7 +84,7 @@ class discovery_run {
   sim::run_result run(std::uint64_t max_events = sim::network::default_event_cap);
 
   /// §6 dynamic addition: a brand-new node that knows `initial_local`.
-  void add_node_dynamic(node_id id, std::set<node_id> initial_local);
+  void add_node_dynamic(node_id id, flat_set<node_id> initial_local);
 
   /// §6 dynamic addition: new link (u -> v) appears now.
   void add_link_dynamic(node_id u, node_id v);

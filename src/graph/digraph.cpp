@@ -1,76 +1,112 @@
 #include "graph/digraph.h"
 
 #include <algorithm>
-#include <cassert>
+#include <map>
+#include <numeric>
+#include <set>
 #include <stack>
 #include <stdexcept>
 
 namespace asyncrd::graph {
 
-const std::set<node_id> digraph::empty_set_{};
+std::size_t component_sizes::at(node_id v) const {
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), v);
+  if (it == ids_.end() || *it != v)
+    throw std::out_of_range("component_sizes::at: unknown node id");
+  return sizes_[static_cast<std::size_t>(it - ids_.begin())];
+}
 
-void digraph::add_node(node_id v) { adj_.try_emplace(v); }
+std::uint32_t digraph::intern(node_id v) {
+  const std::uint32_t found = slot_.find(v);
+  if (found != flat_u64_map::npos) return found;
+  const auto slot = static_cast<std::uint32_t>(ids_.size());
+  slot_.insert(v, slot);
+  ids_.push_back(v);
+  out_.emplace_back();
+  return slot;
+}
+
+void digraph::add_node(node_id v) { intern(v); }
 
 void digraph::add_edge(node_id u, node_id v) {
-  if (u == v) {
-    add_node(u);
-    return;
-  }
-  add_node(v);
-  auto& outs = adj_[u];
-  if (outs.insert(v).second) ++edge_count_;
+  const std::uint32_t su = intern(u);
+  if (u == v) return;
+  intern(v);
+  if (out_[su].insert(v)) ++edge_count_;
 }
 
 bool digraph::has_edge(node_id u, node_id v) const {
-  const auto it = adj_.find(u);
-  return it != adj_.end() && it->second.contains(v);
+  const std::uint32_t su = slot_.find(u);
+  return su != flat_u64_map::npos && out_[su].contains(v);
 }
 
-const std::set<node_id>& digraph::out(node_id v) const {
-  const auto it = adj_.find(v);
-  return it == adj_.end() ? empty_set_ : it->second;
+const flat_set<node_id>& digraph::out(node_id v) const {
+  static const flat_set<node_id> empty;
+  const std::uint32_t s = slot_.find(v);
+  return s == flat_u64_map::npos ? empty : out_[s];
 }
 
 std::vector<node_id> digraph::nodes() const {
-  std::vector<node_id> out;
-  out.reserve(adj_.size());
-  for (const auto& [v, outs] : adj_) out.push_back(v);
+  std::vector<node_id> out = ids_;
+  if (!std::is_sorted(out.begin(), out.end()))
+    std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<std::vector<node_id>> digraph::weak_components() const {
-  // Union-find over the undirected shadow of the graph.
-  std::map<node_id, node_id> parent;
-  for (const auto& [v, outs] : adj_) parent[v] = v;
+std::vector<std::uint32_t> digraph::slots_by_id() const {
+  std::vector<std::uint32_t> by_id(ids_.size());
+  std::iota(by_id.begin(), by_id.end(), std::uint32_t{0});
+  if (std::is_sorted(ids_.begin(), ids_.end())) return by_id;
+  // Sort (id, slot) packed into one word: a plain integer sort.
+  std::vector<std::uint64_t> keyed(ids_.size());
+  for (const std::uint32_t s : by_id)
+    keyed[s] = (std::uint64_t{ids_[s]} << 32) | s;
+  std::sort(keyed.begin(), keyed.end());
+  for (std::size_t i = 0; i < keyed.size(); ++i)
+    by_id[i] = static_cast<std::uint32_t>(keyed[i]);
+  return by_id;
+}
 
-  const auto find = [&](node_id x) {
-    node_id root = x;
-    while (parent[root] != root) root = parent[root];
-    while (parent[x] != root) {
-      const node_id next = parent[x];
-      parent[x] = root;
-      x = next;
+std::vector<std::uint32_t> digraph::weak_roots(
+    const std::vector<std::uint32_t>& by_id) const {
+  // Union-find over the undirected shadow of the graph, on slot indices.
+  std::vector<std::uint32_t> parent(ids_.size());
+  std::iota(parent.begin(), parent.end(), std::uint32_t{0});
+  const auto find = [&parent](std::uint32_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];  // path halving
+      x = parent[x];
     }
-    return root;
+    return x;
   };
+  for (const std::uint32_t su : by_id)
+    for (const node_id v : out_[su]) {
+      const std::uint32_t ru = find(su);
+      parent[ru] = find(slot_.find(v));
+    }
+  for (std::uint32_t s = 0; s < parent.size(); ++s) parent[s] = find(s);
+  return parent;
+}
 
-  for (const auto& [u, outs] : adj_)
-    for (const node_id v : outs) parent[find(u)] = find(v);
-
-  std::map<node_id, std::vector<node_id>> groups;
-  for (const auto& [v, outs] : adj_) groups[find(v)].push_back(v);
-
+std::vector<std::vector<node_id>> digraph::weak_components() const {
+  const std::vector<std::uint32_t> by_id = slots_by_id();
+  const std::vector<std::uint32_t> root = weak_roots(by_id);
+  // Roots met in ascending id order number the components; members met in
+  // ascending id order arrive sorted.
+  std::vector<std::uint32_t> comp_of_root(ids_.size());
   std::vector<std::vector<node_id>> out;
-  out.reserve(groups.size());
-  for (auto& [root, members] : groups) {
-    std::sort(members.begin(), members.end());
-    out.push_back(std::move(members));
+  for (const std::uint32_t s : by_id) {
+    if (root[s] != s) continue;
+    comp_of_root[s] = static_cast<std::uint32_t>(out.size());
+    out.emplace_back();
   }
+  for (const std::uint32_t s : by_id)
+    out[comp_of_root[root[s]]].push_back(ids_[s]);
   return out;
 }
 
 bool digraph::is_weakly_connected() const {
-  return adj_.size() <= 1 || weak_components().size() == 1;
+  return ids_.size() <= 1 || weak_components().size() == 1;
 }
 
 std::vector<std::vector<node_id>> digraph::strong_components() const {
@@ -83,10 +119,10 @@ std::vector<std::vector<node_id>> digraph::strong_components() const {
 
   struct frame {
     node_id v;
-    std::set<node_id>::const_iterator it;
+    flat_set<node_id>::const_iterator it;
   };
 
-  for (const auto& [start, start_outs] : adj_) {
+  for (const node_id start : nodes()) {
     if (index.contains(start)) continue;
     std::stack<frame> call;
     index[start] = lowlink[start] = next_index++;
@@ -130,14 +166,22 @@ std::vector<std::vector<node_id>> digraph::strong_components() const {
 }
 
 bool digraph::is_strongly_connected() const {
-  return adj_.size() <= 1 || strong_components().size() == 1;
+  return ids_.size() <= 1 || strong_components().size() == 1;
 }
 
-std::map<node_id, std::size_t> digraph::weak_component_sizes() const {
-  std::map<node_id, std::size_t> sizes;
-  for (const auto& comp : weak_components())
-    for (const node_id v : comp) sizes[v] = comp.size();
-  return sizes;
+component_sizes digraph::weak_component_sizes() const {
+  const std::vector<std::uint32_t> by_id = slots_by_id();
+  const std::vector<std::uint32_t> root = weak_roots(by_id);
+  std::vector<std::size_t> count(ids_.size(), 0);
+  for (const std::uint32_t r : root) ++count[r];
+  component_sizes cs;
+  cs.ids_.reserve(by_id.size());
+  cs.sizes_.reserve(by_id.size());
+  for (const std::uint32_t s : by_id) {
+    cs.ids_.push_back(ids_[s]);
+    cs.sizes_.push_back(count[root[s]]);
+  }
+  return cs;
 }
 
 }  // namespace asyncrd::graph

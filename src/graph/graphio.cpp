@@ -1,8 +1,12 @@
 #include "graph/graphio.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <vector>
 
 namespace asyncrd::graph {
 
@@ -25,6 +29,22 @@ bool is_comment_or_blank(const std::string& line) {
   throw std::runtime_error(ss.str());
 }
 
+/// One node id: decimal digits only, below invalid_node (the engine's "no
+/// node" sentinel, which no real node may carry).
+node_id parse_id(std::size_t line_no, const std::string& tok) {
+  if (!tok.empty() && tok.front() == '-')
+    fail(line_no, "node ids are non-negative, got '" + tok + "'");
+  const char* const end = tok.data() + tok.size();
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ptr != end || (ec != std::errc{} && ec != std::errc::result_out_of_range))
+    fail(line_no, "expected a node id, got '" + tok + "'");
+  if (ec == std::errc::result_out_of_range || v >= invalid_node)
+    fail(line_no, "node id " + tok + " is out of range (ids are below " +
+                      std::to_string(invalid_node) + ")");
+  return static_cast<node_id>(v);
+}
+
 }  // namespace
 
 digraph read_edge_list(std::istream& in) {
@@ -38,21 +58,18 @@ digraph read_edge_list(std::istream& in) {
     std::string first;
     ls >> first;
     if (first == "node") {
-      unsigned long long v = 0;
+      std::string v;
       if (!(ls >> v)) fail(line_no, "expected node id after 'node'");
-      g.add_node(static_cast<node_id>(v));
+      g.add_node(parse_id(line_no, v));
       continue;
     }
-    unsigned long long u = 0, v = 0;
-    try {
-      u = std::stoull(first);
-    } catch (const std::exception&) {
-      fail(line_no, "expected a node id, got '" + first + "'");
-    }
-    if (!(ls >> v)) fail(line_no, "expected destination node id");
+    const node_id u = parse_id(line_no, first);
+    std::string second;
+    if (!(ls >> second)) fail(line_no, "expected destination node id");
+    const node_id v = parse_id(line_no, second);
     std::string extra;
     if (ls >> extra) fail(line_no, "trailing token '" + extra + "'");
-    g.add_edge(static_cast<node_id>(u), static_cast<node_id>(v));
+    g.add_edge(u, v);
   }
   return g;
 }
@@ -66,17 +83,17 @@ digraph read_edge_list_file(const std::string& path) {
 void write_edge_list(const digraph& g, std::ostream& out) {
   out << "# asyncrd knowledge graph: " << g.node_count() << " nodes, "
       << g.edge_count() << " edges\n";
-  for (const node_id v : g.nodes()) {
-    if (g.out(v).empty()) {
-      bool has_in_edge = false;
-      for (const node_id u : g.nodes()) {
-        if (g.has_edge(u, v)) {
-          has_in_edge = true;
-          break;
-        }
-      }
-      if (!has_in_edge) out << "node " << v << '\n';
-    }
+  const std::vector<node_id> ids = g.nodes();
+  // A node with no out-edges needs a `node` line unless an edge names it.
+  std::vector<node_id> targets;
+  targets.reserve(g.edge_count());
+  for (const node_id v : ids)
+    targets.insert(targets.end(), g.out(v).begin(), g.out(v).end());
+  std::sort(targets.begin(), targets.end());
+  for (const node_id v : ids) {
+    if (g.out(v).empty() &&
+        !std::binary_search(targets.begin(), targets.end(), v))
+      out << "node " << v << '\n';
     for (const node_id w : g.out(v)) out << v << ' ' << w << '\n';
   }
 }
@@ -84,9 +101,9 @@ void write_edge_list(const digraph& g, std::ostream& out) {
 std::string to_dot(const digraph& g) {
   std::ostringstream ss;
   ss << "digraph knowledge {\n  rankdir=LR;\n  node [shape=circle];\n";
-  for (const node_id v : g.nodes()) ss << "  n" << v << " [label=\"" << v
-                                       << "\"];\n";
-  for (const node_id v : g.nodes())
+  const std::vector<node_id> ids = g.nodes();
+  for (const node_id v : ids) ss << "  n" << v << " [label=\"" << v << "\"];\n";
+  for (const node_id v : ids)
     for (const node_id w : g.out(v)) ss << "  n" << v << " -> n" << w << ";\n";
   ss << "}\n";
   return ss.str();

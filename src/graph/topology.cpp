@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 
 #include "common/rng.h"

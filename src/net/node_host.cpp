@@ -1,7 +1,6 @@
 #include "net/node_host.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 #include "common/bitmath.h"
@@ -38,12 +37,14 @@ node_host::node_host(const graph::digraph& g, const core::config& cfg,
   // Sends to nodes this process does not host leave through the gateway.
   net_.set_remote_gateway(&gateway_);
 
-  std::map<node_id, std::size_t> sizes;
+  const std::vector<node_id> ids = g.nodes();
+  graph::component_sizes sizes;  // aligned with ids
   if (cfg_->algo == core::variant::bounded) sizes = g.weak_component_sizes();
-  for (const node_id v : g.nodes()) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const node_id v = ids[i];
     if (!hosts(v)) continue;
     const std::size_t csize =
-        cfg_->algo == core::variant::bounded ? sizes.at(v) : std::size_t{0};
+        cfg_->algo == core::variant::bounded ? sizes[i] : std::size_t{0};
     auto owned = std::make_unique<core::node>(v, *cfg_, g.out(v), csize);
     nodes_.push_back(owned.get());
     local_.push_back(v);

@@ -29,9 +29,9 @@
 // through a flat open-addressed table keyed by the packed (from, to) index
 // pair, and a sender appends each new channel to its outgoing list in O(1)
 // (unblock_sender orders the held ones by destination id at release time);
-// each channel's queue is a vector FIFO that allocates nothing until the
-// channel carries a message; events flow through a calendar queue
-// (sim/scheduler.h) instead of a binary heap.
+// each channel's queue is a vector FIFO (common/fifo.h) that allocates
+// nothing until the channel carries a message; events flow through a
+// calendar queue (sim/scheduler.h) instead of a binary heap.
 // All externally observable orders — event (at, seq) order, channel
 // iteration order, node id order — are identical to the original
 // std::map-based implementation; the determinism suite and the golden trace
@@ -39,16 +39,15 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <tuple>
 #include <type_traits>
 #include <vector>
 
+#include "common/fifo.h"
 #include "common/flat_hash.h"
 #include "common/ids.h"
 #include "common/rng.h"
@@ -515,56 +514,9 @@ class network : public transport {
     sim_time sent_at = 0;
   };
 
-  /// A channel's FIFO: a vector plus a head index.  It allocates nothing
-  /// before its first message.  Popping the last message rewinds it to the
-  /// start of its buffer, which it then reuses; once the head passes half
-  /// the buffer, the live messages move down to the front, so the popped
-  /// prefix never outgrows the backlog of a channel that never drains.  A
-  /// vector and an index are nothrow-movable, so growing `channels_` moves
-  /// queues instead of copying them.
-  class msg_fifo {
-   public:
-    bool empty() const noexcept { return head_ == buf_.size(); }
-
-    void push_back(queued_msg q) { buf_.push_back(std::move(q)); }
-
-    /// Removes and returns the oldest message (the queue must not be empty).
-    queued_msg pop_front() {
-      assert(!empty());
-      queued_msg q = std::move(buf_[head_]);
-      if (++head_ == buf_.size()) {
-        buf_.clear();
-        head_ = 0;
-      } else if (2 * head_ > buf_.size()) {
-        buf_.erase(buf_.begin(),
-                   buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-      }
-      return q;
-    }
-
-    /// Removes and returns the newest `k` messages (at most all of them),
-    /// oldest first.
-    std::vector<queued_msg> take_tail(std::size_t k) {
-      assert(k <= buf_.size() - head_);
-      const auto cut = buf_.end() - static_cast<std::ptrdiff_t>(k);
-      std::vector<queued_msg> tail(std::make_move_iterator(cut),
-                                   std::make_move_iterator(buf_.end()));
-      buf_.erase(cut, buf_.end());
-      if (empty()) {
-        buf_.clear();
-        head_ = 0;
-      }
-      return tail;
-    }
-
-   private:
-    std::vector<queued_msg> buf_;
-    std::size_t head_ = 0;
-  };
-
   struct channel {
-    msg_fifo queue;
+    /// Messages in flight on this channel, oldest first.
+    fifo<queued_msg> queue;
     /// Tail messages with no delivery event yet (sender was blocked).
     std::size_t unscheduled = 0;
     node_id from = invalid_node;

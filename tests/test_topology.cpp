@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "graph/topology.h"
@@ -105,6 +106,42 @@ TEST(Topology, PreferentialAttachmentConnectedAndSized) {
   EXPECT_TRUE(g.is_weakly_connected());
   // Node i >= 2 links to exactly 2 earlier nodes.
   EXPECT_GE(g.edge_count(), 49u);
+}
+
+/// FNV-1a over (node count, edge count, then each node with its ascending
+/// out-list), in ascending node order.
+std::uint64_t edge_digest(const graph::digraph& g) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(g.node_count());
+  mix(g.edge_count());
+  for (const node_id v : g.nodes()) {
+    mix(v);
+    mix(g.out(v).size());
+    for (const node_id w : g.out(v)) mix(w);
+  }
+  return h;
+}
+
+TEST(Topology, GeneratorEdgeListsArePinned) {
+  // Digests taken from the std::map-based digraph.  The sparse
+  // Erdős–Rényi and fanout-1 layered DAG add repair edges between
+  // consecutive weak components, so they also pin the component order.
+  EXPECT_EQ(edge_digest(graph::random_weakly_connected(2000, 4000, 7)),
+            0x524307d0cef75d2full);
+  EXPECT_EQ(edge_digest(graph::multi_component(20, 100, 100, 3)),
+            0x03a8946c6b1c8fddull);
+  EXPECT_EQ(edge_digest(graph::erdos_renyi_connected(300, 0.004, 5)),
+            0x6fdf9e027a807990ull);
+  EXPECT_EQ(edge_digest(graph::layered_dag(20, 30, 1, 9)),
+            0xe7b859534bb81438ull);
+  EXPECT_EQ(edge_digest(graph::preferential_attachment(2000, 3, 11)),
+            0x18e5fcab1f9654daull);
 }
 
 TEST(Topology, MultiComponentHasExactlyParts) {
