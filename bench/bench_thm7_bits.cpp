@@ -43,10 +43,10 @@ using namespace asyncrd;
 /// a transmission of its own, so a forwarded message counts again.
 class frame_bytes final : public sim::observer {
  public:
-  void on_send(sim::sim_time, node_id, node_id,
-               const sim::message& m) override {
+  void on_event(const sim::event_record& r) override {
+    if (r.what != sim::event_record::kind::send) return;
     frame_.clear();
-    core::wire::encode(m, frame_);
+    core::wire::encode(*r.m, frame_);
     bytes_ += frame_.size();
   }
   std::uint64_t bytes() const noexcept { return bytes_; }

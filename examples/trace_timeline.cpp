@@ -1,9 +1,10 @@
-// Execution timeline viewer: run a small discovery with the event log,
-// transition recorder, and causal tracer armed, then print what happened,
-// message by message — the fastest way to build intuition for the protocol
-// (and to see Figures 1 and 3-6 in action).  The causal tracer also
-// extracts the run's critical path: the chain of "this delivery caused
-// these sends" that determined the completion time.
+// Execution timeline viewer: run a small discovery with the transition
+// recorder and causal tracer armed, then print what happened, activation by
+// activation (each wake or delivery with the sends it made) — the fastest
+// way to build intuition for the protocol (and to see Figures 1 and 3-6 in
+// action).  The causal tracer also extracts the run's critical path: the
+// chain of "this delivery caused these sends" that determined the
+// completion time.
 //
 //   $ ./trace_timeline                   # 6-node demo
 //   $ ./trace_timeline 12 42             # n nodes, schedule seed
@@ -16,7 +17,6 @@
 #include "core/runner.h"
 #include "core/trace.h"
 #include "graph/topology.h"
-#include "sim/event_log.h"
 #include "telemetry/critical_path.h"
 #include "telemetry/perfetto.h"
 #include "telemetry/tracer.h"
@@ -41,15 +41,31 @@ int main(int argc, char** argv) {
   core::config cfg;
   cfg.trace = &transitions;
   core::discovery_run run(g, cfg, sched);
-  sim::event_log log;
-  run.net().add_observer(&log);
   telemetry::tracer tr(run.net());
   run.net().add_observer(&tr);
   run.wake_all();
   run.run();
 
-  std::cout << "\n--- timeline (" << log.size() << " events) ---\n";
-  log.render(std::cout, 400);
+  const auto print_activation = [](const telemetry::trace_event& e) {
+    std::cout << "t=" << e.at << ' ';
+    if (e.what == telemetry::trace_event::kind::wake)
+      std::cout << "wake    " << e.to;
+    else
+      std::cout << "deliver " << e.from << " -> " << e.to << ' ' << e.type;
+  };
+  constexpr std::size_t max_lines = 400;
+  std::cout << "\n--- timeline (" << tr.events().size() << " activations, "
+            << tr.sends_observed() << " sends) ---\n";
+  for (std::size_t i = 0; i < tr.events().size(); ++i) {
+    if (i == max_lines) {
+      std::cout << "... (" << tr.events().size() - max_lines
+                << " more activations)\n";
+      break;
+    }
+    const telemetry::trace_event& e = tr.events()[i];
+    print_activation(e);
+    std::cout << "  sends " << e.sends << '\n';
+  }
 
   std::cout << "\n--- state transitions ---\n";
   for (const auto& [edge, count] : transitions.edges())
@@ -59,11 +75,8 @@ int main(int argc, char** argv) {
   std::cout << "\n--- critical path (" << cp.length << " hops, ends at t="
             << cp.makespan << ") ---\n";
   for (const auto& e : cp.chain) {
-    std::cout << "  [" << e.lamport << "] t=" << e.at << ' ';
-    if (e.what == telemetry::trace_event::kind::wake)
-      std::cout << "wake    " << e.to;
-    else
-      std::cout << "deliver " << e.from << " -> " << e.to << ' ' << e.type;
+    std::cout << "  [" << e.lamport << "] ";
+    print_activation(e);
     std::cout << '\n';
   }
   const auto fan = telemetry::compute_fanout(tr.events());

@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "common/table.h"
 
-#include "sim/event_log.h"
 #include "sim/load_observer.h"
 #include "sim/message.h"
 #include "sim/network.h"

@@ -43,8 +43,6 @@ class flat_set {
   flat_set(It first, It last) : data_(first, last) {
     normalize();
   }
-  /// Adopts an ordered container without a re-sort.
-  explicit flat_set(const std::set<T>& s) : data_(s.begin(), s.end()) {}
 
   const_iterator begin() const noexcept { return data_.begin(); }
   const_iterator end() const noexcept { return data_.end(); }

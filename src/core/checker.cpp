@@ -225,8 +225,8 @@ check_report check_membership(
   return rep;
 }
 
-void liveness_monitor::on_deliver(sim::sim_time t, node_id, node_id,
-                                  const sim::message&) {
+void liveness_monitor::on_event(const sim::event_record& r) {
+  if (r.what != sim::event_record::kind::deliver) return;
   for (const auto& comp : components_) {
     bool has_leader = false;
     for (const node_id v : comp) {
@@ -237,7 +237,7 @@ void liveness_monitor::on_deliver(sim::sim_time t, node_id, node_id,
     }
     if (!has_leader) {
       std::ostringstream ss;
-      ss << "t=" << t << ": component of node " << comp.front()
+      ss << "t=" << r.at << ": component of node " << comp.front()
          << " has no leader (Lemma 5.1 violated)";
       violations_.push_back(ss.str());
       if (violations_.size() > 16) return;  // avoid flooding
@@ -245,8 +245,8 @@ void liveness_monitor::on_deliver(sim::sim_time t, node_id, node_id,
   }
 }
 
-void structure_monitor::on_deliver(sim::sim_time t, node_id, node_id,
-                                   const sim::message&) {
+void structure_monitor::on_event(const sim::event_record& r) {
+  if (r.what != sim::event_record::kind::deliver) return;
   if (violations_.size() < 16) {
     const std::vector<node_id> ids = run_->ids();
     const std::size_t limit = ids.size() + 1;
@@ -265,7 +265,7 @@ void structure_monitor::on_deliver(sim::sim_time t, node_id, node_id,
       // Still inactive after the walk => self-pointer or a cycle.
       if (run_->at(cur).status() == status_t::inactive) {
         std::ostringstream ss;
-        ss << "t=" << t << ": routing chain from inactive node " << v
+        ss << "t=" << r.at << ": routing chain from inactive node " << v
            << " does not leave the inactive set (cycle or self-pointer)";
         violations_.push_back(ss.str());
       }

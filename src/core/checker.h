@@ -74,8 +74,7 @@ class liveness_monitor final : public sim::observer {
                    std::vector<std::vector<node_id>> components)
       : run_(&run), components_(std::move(components)) {}
 
-  void on_deliver(sim::sim_time t, node_id from, node_id to,
-                  const sim::message& m) override;
+  void on_event(const sim::event_record& r) override;
 
   const std::vector<std::string>& violations() const noexcept {
     return violations_;
@@ -97,8 +96,7 @@ class structure_monitor final : public sim::observer {
  public:
   explicit structure_monitor(const discovery_run& run) : run_(&run) {}
 
-  void on_deliver(sim::sim_time t, node_id from, node_id to,
-                  const sim::message& m) override;
+  void on_event(const sim::event_record& r) override;
 
   const std::vector<std::string>& violations() const noexcept {
     return violations_;

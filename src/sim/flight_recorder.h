@@ -1,12 +1,12 @@
 // Flight recorder: a fixed-size ring of the last K dispatched scheduler
 // events, cheap enough to leave armed on production-sized runs.
 //
-// Each entry is a small POD — event kind, the endpoints, the message's
-// one-byte dispatch tag (PR 3's byte-dispatch vocabulary, so no type-name
-// string is touched on the hot path), virtual time, the activation id the
-// event ran as, and its genealogy cause — recorded by network::dispatch with
-// one branch and one struct store per event.  No allocation ever happens
-// after construction.
+// The recorder is an ordinary network observer.  It keeps a small POD
+// projection of every event record except sends — event kind, the
+// endpoints, the message's one-byte dispatch tag (so no type-name string is
+// touched on the hot path), virtual time, the activation id the event ran
+// as, and its genealogy cause — with one struct store per event.  No
+// allocation ever happens after construction.
 //
 // The point of the recorder is the postmortem: when a checker violation or a
 // stall-watchdog trip aborts a run, the ring holds the K events leading up
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "sim/scheduler.h"
+#include "sim/network.h"
 
 namespace asyncrd::sim {
 
@@ -30,7 +30,7 @@ namespace asyncrd::sim {
 /// tracer uses, so dump entries link to each other while their parents are
 /// still in the ring.
 struct flight_entry {
-  static constexpr std::uint64_t none = ~std::uint64_t{0};
+  static constexpr std::uint64_t none = event_record::none;
   enum class kind : std::uint8_t { wake = 0, deliver = 1, timer = 2 };
 
   sim_time at = 0;
@@ -42,10 +42,31 @@ struct flight_entry {
   std::uint8_t tag = 0;        ///< deliver: message dispatch tag
 };
 
-class flight_recorder {
+/// Attach with network::add_observer; every wake, delivery and adapter
+/// timer lands in the ring.
+class flight_recorder final : public observer {
  public:
   explicit flight_recorder(std::size_t capacity = 4096)
       : ring_(capacity == 0 ? 1 : capacity) {}
+
+  void on_event(const event_record& r) override {
+    switch (r.what) {
+      case event_record::kind::send:
+        return;
+      case event_record::kind::wake:
+        record({r.at, r.id, r.cause, r.to, invalid_node,
+                flight_entry::kind::wake, 0});
+        return;
+      case event_record::kind::deliver:
+        record({r.at, r.id, r.cause, r.from, r.to, flight_entry::kind::deliver,
+                r.m->dispatch_tag()});
+        return;
+      case event_record::kind::timer:
+        record({r.at, r.id, r.cause, invalid_node, invalid_node,
+                flight_entry::kind::timer, 0});
+        return;
+    }
+  }
 
   std::size_t capacity() const noexcept { return ring_.size(); }
   std::size_t size() const noexcept { return size_; }

@@ -30,11 +30,11 @@ class load_observer final : public observer {
   /// run's size is known up front.
   static constexpr std::size_t default_dense_limit = 4096;
 
-  void on_send(sim_time, node_id from, node_id, const message&) override {
-    bump(sent_, from);
-  }
-  void on_deliver(sim_time, node_id, node_id to, const message&) override {
-    bump(received_, to);
+  void on_event(const event_record& r) override {
+    if (r.what == event_record::kind::send)
+      bump(sent_, r.from);
+    else if (r.what == event_record::kind::deliver)
+      bump(received_, r.to);
   }
 
   /// Widens the dense window to at least `n` ids (never narrows it).

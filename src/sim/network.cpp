@@ -29,21 +29,21 @@ constexpr std::uint64_t outage_phase_salt = 0x09E3'779B'97F4'A7C1ull;
 
 }  // namespace
 
-void multi_observer::add(observer* obs) {
+sim_time context::now() const noexcept { return net_->now(); }
+
+void network::add_observer(observer* obs) {
   assert(obs != nullptr);
   assert(std::find(observers_.begin(), observers_.end(), obs) ==
          observers_.end());
   observers_.push_back(obs);
 }
 
-bool multi_observer::remove(observer* obs) {
+bool network::remove_observer(observer* obs) {
   const auto it = std::find(observers_.begin(), observers_.end(), obs);
   if (it == observers_.end()) return false;
   observers_.erase(it);
   return true;
 }
-
-sim_time context::now() const noexcept { return net_->now(); }
 
 void network::add_health_probe(health_probe* p, sim_time first_at) {
   assert(p != nullptr);
@@ -197,7 +197,7 @@ void network::take_step(const manual_step& s) {
       throw std::invalid_argument("take_step: wake not pending");
     const std::uint64_t anchor = it->second;
     pending_wakes_.erase(it);
-    ensure_awake(index_of(s.a), anchor, trace_context::none);
+    ensure_awake(index_of(s.a), anchor, event_record::none);
     return;
   }
   const std::uint32_t ci = find_channel(index_of(s.a), index_of(s.b));
@@ -210,8 +210,8 @@ void network::take_step(const manual_step& s) {
   const std::uint32_t to_index = ch.to_index;
   // Callbacks may create channels (vector may reallocate): ch is dead now.
   ensure_awake(to_index, q.sent_in, q.released_in);
-  begin_activation(q.sent_in, q.released_in, q.sent_at);
-  observers_.on_deliver(now_, s.a, s.b, *q.m);
+  notify({event_record::kind::deliver, now_, s.a, s.b, q.m.get(),
+          begin_activation(), q.sent_in, q.released_in, q.sent_at});
   ++app_deliveries_;
   context ctx(*this, s.b);
   slots_[to_index].proc->on_message(ctx, s.a, q.m);
@@ -285,10 +285,7 @@ void network::send_internal(node_id from, node_id to, message_ptr m) {
   // returns its size: those are the bytes this process puts on the wire.
   if (gateway_ != nullptr && index_of(to) == npos) {
     stats_.record(*m);
-    if (!observers_.empty()) {
-      prof_scope ps(prof_, cost_profiler::phase::observers);
-      observers_.on_send(now_, from, to, *m);
-    }
+    notify({event_record::kind::send, now_, from, to, m.get(), active_});
     wire_slot& s = wire_slots_[m->dispatch_tag() % wire_slots_.size()];
     if (s.name.empty()) s.name = m->type_name();
     const std::size_t bytes = gateway_->remote_send(from, to, std::move(m));
@@ -314,10 +311,7 @@ void network::transport_send(node_id from, node_id to, message_ptr m) {
   const std::uint32_t from_idx = index_of(from);
   if (from_idx == npos) throw std::invalid_argument("send: unknown sender");
   stats_.record(*m);
-  if (!observers_.empty()) {
-    prof_scope ps(prof_, cost_profiler::phase::observers);
-    observers_.on_send(now_, from, to, *m);
-  }
+  notify({event_record::kind::send, now_, from, to, m.get(), active_});
 
   std::uint32_t ci;
   if (slots_[from_idx].last_to == to_idx) {
@@ -327,8 +321,7 @@ void network::transport_send(node_id from, node_id to, message_ptr m) {
     slots_[from_idx].last_to = to_idx;
     slots_[from_idx].last_ci = ci;
   }
-  queued_msg q{std::move(m), tctx_.active ? tctx_.event_id : trace_context::none,
-               trace_context::none, now_};
+  queued_msg q{std::move(m), active_, event_record::none, now_};
   if (manual_mode_ || slots_[from_idx].blocked) {
     // Held messages are not on the wire yet: the fault plan rules on them
     // at release time (unblock_sender), not here.
@@ -340,7 +333,7 @@ void network::transport_send(node_id from, node_id to, message_ptr m) {
   }
   // Driver sends (probe, dynamic additions) happen between events; they are
   // causally ordered after the last completed activation.
-  if (!tctx_.active) q.released_in = last_event_;
+  if (!in_activation()) q.released_in = last_event_;
   schedule_transmission(ci, std::move(q), /*counted=*/false);
 }
 
@@ -393,10 +386,7 @@ void network::schedule_transmission(std::uint32_t ci, queued_msg q,
   ++fault_stats_.duplicates;
   ++in_flight_;
   stats_.record(*copy.m);
-  if (!observers_.empty()) {
-    prof_scope ps(prof_, cost_profiler::phase::observers);
-    observers_.on_send(now_, from, to, *copy.m);
-  }
+  notify({event_record::kind::send, now_, from, to, copy.m.get(), active_});
   sim_time dd = scheduled_delay(from, to, *copy.m);
   if (plan_.reorder_slack > 0) {
     const auto extra = static_cast<sim_time>(channels_[ci].fault_rng.below(
@@ -410,13 +400,13 @@ void network::schedule_transmission(std::uint32_t ci, queued_msg q,
 
 void network::app_deliver(node_id to, node_id from, const message_ptr& m) {
   assert(m != nullptr);
-  if (!tctx_.active)
+  if (!in_activation())
     throw std::logic_error("app_deliver outside a delivery activation");
   const std::uint32_t to_index = index_of(to);
   if (to_index == npos)
     throw std::invalid_argument("app_deliver: unknown node");
-  // No observer callback here: observers and stats account the *transport*
-  // level (the envelope delivery already fired on_deliver); this is the
+  // No observer record here: observers and stats account the *transport*
+  // level (the envelope delivery was already published); this is the
   // adapter releasing the reassembled application message to the process.
   ++app_deliveries_;
   context ctx(*this, to);
@@ -428,7 +418,7 @@ void network::app_deliver(node_id to, node_id from, const message_ptr& m) {
 
 void network::inject_remote(node_id to, node_id from, const message_ptr& m) {
   assert(m != nullptr);
-  if (tctx_.active)
+  if (in_activation())
     throw std::logic_error("inject_remote from inside an activation");
   const std::uint32_t to_index = index_of(to);
   if (to_index == npos)
@@ -439,15 +429,9 @@ void network::inject_remote(node_id to, node_id from, const message_ptr& m) {
   // causal parents are none — the sending activation lives in another
   // process; cross-process genealogy is the trace merger's job, not ours.
   ++now_;
-  ensure_awake(to_index, trace_context::none, trace_context::none);
-  begin_activation(trace_context::none, trace_context::none, now_);
-  if (flight_ != nullptr)
-    flight_->record({now_, tctx_.event_id, trace_context::none, from, to,
-                     flight_entry::kind::deliver, m->dispatch_tag()});
-  if (!observers_.empty()) {
-    prof_scope ps(prof_, cost_profiler::phase::observers);
-    observers_.on_deliver(now_, from, to, *m);
-  }
+  ensure_awake(to_index, event_record::none, event_record::none);
+  notify({event_record::kind::deliver, now_, from, to, m.get(),
+          begin_activation(), event_record::none, event_record::none, now_});
   ++app_deliveries_;
   context ctx(*this, to);
   slots_[to_index].proc->on_message(ctx, from, m);
@@ -479,20 +463,6 @@ std::uint32_t network::channel_of(std::uint32_t from, std::uint32_t to) {
   return ci;
 }
 
-void network::begin_activation(std::uint64_t cause, std::uint64_t release,
-                               sim_time sent_at) {
-  tctx_.event_id = next_event_id_++;
-  tctx_.cause = cause;
-  tctx_.release = release;
-  tctx_.sent_at = sent_at;
-  tctx_.active = true;
-}
-
-void network::end_activation() {
-  last_event_ = tctx_.event_id;
-  tctx_ = trace_context{};
-}
-
 void network::ensure_awake(std::uint32_t idx, std::uint64_t cause,
                            std::uint64_t release) {
   node_slot& slot = slots_[idx];
@@ -501,14 +471,8 @@ void network::ensure_awake(std::uint32_t idx, std::uint64_t cause,
   process* proc = slot.proc.get();
   const node_id id = slot.id;
   // Callbacks may add nodes (vector may reallocate): slot is dead now.
-  begin_activation(cause, release, now_);
-  if (flight_ != nullptr)
-    flight_->record({now_, tctx_.event_id, cause, id, invalid_node,
-                     flight_entry::kind::wake, 0});
-  {
-    prof_scope ps(prof_, cost_profiler::phase::observers);
-    observers_.on_wake(now_, id);
-  }
+  notify({.what = event_record::kind::wake, .at = now_, .to = id,
+          .id = begin_activation(), .cause = cause, .release = release});
   context ctx(*this, id);
   {
     prof_scope ps(prof_, cost_profiler::phase::wake);
@@ -521,7 +485,7 @@ void network::dispatch(const event& ev) {
   now_ = ev.at;
   switch (ev.kind) {
     case event_kind::wake: {
-      ensure_awake(ev.target, ev.cause, trace_context::none);
+      ensure_awake(ev.target, ev.cause, event_record::none);
       break;
     }
     case event_kind::deliver: {
@@ -537,14 +501,8 @@ void network::dispatch(const event& ev) {
       // Callbacks may create channels (vector may reallocate): ch is dead.
       // A message-induced wake shares the arriving message's causes.
       ensure_awake(to_index, q.sent_in, q.released_in);
-      begin_activation(q.sent_in, q.released_in, q.sent_at);
-      if (flight_ != nullptr)
-        flight_->record({now_, tctx_.event_id, q.sent_in, from, to,
-                         flight_entry::kind::deliver, q.m->dispatch_tag()});
-      if (!observers_.empty()) {
-        prof_scope ps(prof_, cost_profiler::phase::observers);
-        observers_.on_deliver(now_, from, to, *q.m);
-      }
+      notify({event_record::kind::deliver, now_, from, to, q.m.get(),
+              begin_activation(), q.sent_in, q.released_in, q.sent_at});
       if (adapter_ != nullptr) {
         // Transport-level arrival: the adapter dedups/reorders and releases
         // application messages via app_deliver inside this activation.
@@ -563,9 +521,8 @@ void network::dispatch(const event& ev) {
       // Timer callbacks run between activations (like quiescence hooks):
       // retransmissions they trigger are causally ordered after the last
       // completed activation.
-      if (flight_ != nullptr)
-        flight_->record({now_, flight_entry::none, ev.cause, invalid_node,
-                         invalid_node, flight_entry::kind::timer, 0});
+      notify(
+          {.what = event_record::kind::timer, .at = now_, .cause = ev.cause});
       if (adapter_ != nullptr) {
         prof_scope ps(prof_, cost_profiler::phase::arq);
         adapter_->on_timer(ev.cause);

@@ -51,7 +51,6 @@
 #include "common/flat_hash.h"
 #include "common/ids.h"
 #include "common/rng.h"
-#include "sim/flight_recorder.h"
 #include "sim/message.h"
 #include "sim/profiler.h"
 #include "sim/scheduler.h"
@@ -173,43 +172,47 @@ class process {
   virtual void on_message(context& ctx, node_id from, const message_ptr& m) = 0;
 };
 
-/// Passive observer of network events (used by the trace recorder and by
-/// invariant checkers that must run at every step, e.g. Lemma 5.1).
+/// One network event, as every observer sees it: the paper's stream of wake
+/// and delivery events (§1.2), the sends that feed it, and the link
+/// adapter's timers.
+///
+/// Every wake and delivery runs as one *activation* with a unique id.  Two
+/// causal edges feed an activation (both happened-before edges in Lamport's
+/// sense):
+///   * `cause`   — message genealogy: the activation in which the delivered
+///     message was sent (or, for a message-induced wake, the same);
+///   * `release` — scheduling causality: the activation whose quiescence
+///     made the adversary release a held message or inject a wake
+///     (Theorem 1's staged stalling, Lemma 3.1's sequential wake-up).
+/// Either may be `none` (explicit initial wakes are roots).
+struct event_record {
+  /// "No such activation": the one sentinel for activation ids.
+  static constexpr std::uint64_t none = ~std::uint64_t{0};
+  enum class kind : std::uint8_t { send, wake, deliver, timer };
+
+  kind what = kind::send;
+  sim_time at = 0;
+  node_id from = invalid_node;  ///< send, deliver: the sender
+  node_id to = invalid_node;    ///< send, deliver: receiver; wake: woken node
+  const message* m = nullptr;   ///< send, deliver: the message
+  /// Wake, deliver: this activation.  Send: the activation that sends it
+  /// (none for a driver send).  Timer: none (timers run between
+  /// activations).
+  std::uint64_t id = none;
+  /// Wake, deliver: genealogy parent.  Timer: the adapter's timer key.
+  std::uint64_t cause = none;
+  std::uint64_t release = none;  ///< wake, deliver: scheduling parent
+  sim_time sent_at = 0;          ///< deliver: sim time the message left
+};
+
+/// Passive sink of network events: the trace recorder, the flight ring,
+/// load and metrics feeds, and invariant checkers that must run at every
+/// step (e.g. Lemma 5.1).  A delivery reaches observers before the
+/// receiving process handles it.
 class observer {
  public:
   virtual ~observer() = default;
-  virtual void on_send(sim_time, node_id /*from*/, node_id /*to*/, const message&) {}
-  virtual void on_deliver(sim_time, node_id /*from*/, node_id /*to*/, const message&) {}
-  virtual void on_wake(sim_time, node_id) {}
-};
-
-/// Composite observer: fans every event out to N observers in registration
-/// order.  The network holds one of these, so stats monitors, load
-/// observers, event logs, and telemetry can all be armed on the same run.
-class multi_observer final : public observer {
- public:
-  /// Registers an observer (not owned; must outlive the composite).
-  /// Callbacks fire in registration order.
-  void add(observer* obs);
-
-  /// Unregisters; returns false if the observer was not registered.
-  bool remove(observer* obs);
-
-  std::size_t size() const noexcept { return observers_.size(); }
-  bool empty() const noexcept { return observers_.empty(); }
-
-  void on_send(sim_time t, node_id from, node_id to, const message& m) override {
-    for (observer* o : observers_) o->on_send(t, from, to, m);
-  }
-  void on_deliver(sim_time t, node_id from, node_id to, const message& m) override {
-    for (observer* o : observers_) o->on_deliver(t, from, to, m);
-  }
-  void on_wake(sim_time t, node_id v) override {
-    for (observer* o : observers_) o->on_wake(t, v);
-  }
-
- private:
-  std::vector<observer*> observers_;
+  virtual void on_event(const event_record& r) = 0;
 };
 
 /// Periodic virtual-time callback driven by the event loop (runtime health
@@ -234,27 +237,6 @@ struct run_result {
   /// True iff a health probe called network::request_stop (e.g. a stall
   /// watchdog configured to abort on trip).
   bool stopped = false;
-};
-
-/// Causal identity of the *activation* currently being dispatched — one
-/// wake callback or one delivery callback.  Valid inside observer callbacks
-/// and node handlers; `active` is false between events.
-///
-/// Two distinct causal edges feed an activation (both are happened-before
-/// edges in Lamport's sense):
-///   * `cause`   — message genealogy: the activation in which the delivered
-///     message was sent (or, for a message-induced wake, the same);
-///   * `release` — scheduling causality: the activation whose quiescence
-///     made the adversary release a held message or inject a wake
-///     (Theorem 1's staged stalling, Lemma 3.1's sequential wake-up).
-/// Either may be `none` (explicit initial wakes are roots).
-struct trace_context {
-  static constexpr std::uint64_t none = ~std::uint64_t{0};
-  std::uint64_t event_id = none;  ///< unique id of this activation
-  std::uint64_t cause = none;     ///< genealogy parent
-  std::uint64_t release = none;   ///< scheduling parent
-  sim_time sent_at = 0;           ///< deliver: sim time the message left
-  bool active = false;
 };
 
 class network : public transport {
@@ -430,27 +412,23 @@ class network : public transport {
 
   // --- observers ---------------------------------------------------------
   //
-  // Any number of observers can be armed at once; events fan out in
-  // registration order.  Observers are not owned and must outlive the run.
+  // Any number of observers can be armed at once; each event_record fans
+  // out in registration order.  Observers are not owned and must outlive
+  // the run.
 
-  void add_observer(observer* obs) { observers_.add(obs); }
-  bool remove_observer(observer* obs) { return observers_.remove(obs); }
+  void add_observer(observer* obs);
+  /// Unregisters; returns false if the observer was not registered.
+  bool remove_observer(observer* obs);
 
   // --- runtime health ----------------------------------------------------
   //
   // Probes are virtual-time periodic callbacks (telemetry samplers, stall
-  // watchdogs); the flight recorder is a ring of the last K dispatched
-  // events for postmortems.  Neither is owned; both must outlive the run.
+  // watchdogs).  They are not owned and must outlive the run.
 
   /// Registers a health probe; its first firing is at or after `first_at`.
   void add_health_probe(health_probe* p, sim_time first_at);
   /// Unregisters; returns false if the probe was not registered.
   bool remove_health_probe(health_probe* p);
-
-  /// Installs (nullptr uninstalls) a flight recorder that receives one
-  /// entry per dispatched event.
-  void set_flight_recorder(flight_recorder* fr) noexcept { flight_ = fr; }
-  flight_recorder* flight() const noexcept { return flight_; }
 
   /// Installs (nullptr uninstalls) an online cost profiler (sim/profiler.h):
   /// hot-path phases — queue pop, fault ruling, ARQ, per-dispatch-tag
@@ -474,25 +452,6 @@ class network : public transport {
   /// the watchdog's delivery-progress signal.
   std::uint64_t app_deliveries() const noexcept { return app_deliveries_; }
 
-  // --- causal tracing ----------------------------------------------------
-  //
-  // Every activation (wake/delivery callback) gets a unique event id, and
-  // every queued message remembers the activation that sent it, so an
-  // observer can reconstruct the full causal genealogy of a run (the
-  // telemetry tracer does; see telemetry/tracer.h).
-
-  /// The causal identity of the activation currently running (observers
-  /// query this from their callbacks).
-  const trace_context& trace_ctx() const noexcept { return tctx_; }
-
-  /// Id of the most recently *completed* activation (trace_context::none
-  /// before the first).  Actions taken outside any activation — quiescence
-  /// hooks, driver calls — are causally ordered after it.
-  std::uint64_t last_event_id() const noexcept { return last_event_; }
-
-  /// Total activations assigned so far.
-  std::uint64_t events_assigned() const noexcept { return next_event_id_; }
-
   /// True iff no undelivered messages exist anywhere (including held ones).
   bool channels_empty() const noexcept { return in_flight_ == 0; }
 
@@ -506,11 +465,11 @@ class network : public transport {
   /// A message in flight, with the causal record of how it got there.
   struct queued_msg {
     message_ptr m;
-    /// Activation that sent it (trace_context::none for driver sends).
-    std::uint64_t sent_in = trace_context::none;
+    /// Activation that sent it (event_record::none for driver sends).
+    std::uint64_t sent_in = event_record::none;
     /// Activation whose quiescence released it (held messages) or preceded
     /// the out-of-activation send; none for ordinary in-activation sends.
-    std::uint64_t released_in = trace_context::none;
+    std::uint64_t released_in = event_record::none;
     sim_time sent_at = 0;
   };
 
@@ -611,17 +570,31 @@ class network : public transport {
   void fire_probes();
   void dispatch(const event& ev);
   void push_event(sim_time at, event_kind kind, std::uint32_t target,
-                  std::uint64_t cause = trace_context::none);
+                  std::uint64_t cause = event_record::none);
   void finalize_id_bits();
 
-  /// Opens/closes the trace context around one activation's callbacks.
-  void begin_activation(std::uint64_t cause, std::uint64_t release,
-                        sim_time sent_at);
-  void end_activation();
+  /// Opens one activation (assigning its id, which it returns) and closes
+  /// it, around its callbacks.
+  std::uint64_t begin_activation() noexcept {
+    active_ = next_event_id_++;
+    return active_;
+  }
+  void end_activation() noexcept {
+    last_event_ = active_;
+    active_ = event_record::none;
+  }
+  bool in_activation() const noexcept { return active_ != event_record::none; }
   /// The causal anchor for actions taken right now: the running activation
   /// if inside one, else the last completed one (quiescence ordering).
   std::uint64_t current_anchor() const noexcept {
-    return tctx_.active ? tctx_.event_id : last_event_;
+    return in_activation() ? active_ : last_event_;
+  }
+
+  /// Fans one record out to every observer, in registration order.
+  void notify(const event_record& r) {
+    if (observers_.empty()) return;
+    prof_scope ps(prof_, cost_profiler::phase::observers);
+    for (observer* o : observers_) o->on_event(r);
   }
 
   scheduler* sched_;
@@ -640,7 +613,7 @@ class network : public transport {
   std::uint64_t wire_bytes_ = 0;
   std::uint64_t wire_frames_ = 0;
   stats stats_;
-  multi_observer observers_;
+  std::vector<observer*> observers_;
   run_timing timing_;
   /// Registered health probes with their next due times.  next_probe_
   /// caches the minimum so the event loop pays one compare per event; it is
@@ -648,15 +621,19 @@ class network : public transport {
   static constexpr sim_time no_probe = ~sim_time{0};
   std::vector<std::pair<health_probe*, sim_time>> probes_;
   sim_time next_probe_ = no_probe;
-  flight_recorder* flight_ = nullptr;
   cost_profiler* prof_ = nullptr;
   std::uint64_t app_deliveries_ = 0;
   bool stop_requested_ = false;
   sim_time now_ = 0;
   std::uint64_t seq_ = 0;
-  trace_context tctx_;
+  /// Causal bookkeeping: every activation (wake or delivery callback) gets
+  /// the next id, and each queued message remembers the activation that
+  /// sent it, so observers can reconstruct the run's genealogy
+  /// (telemetry/tracer.h does).  active_ is the running activation's id,
+  /// none between activations; last_event_ is the last completed one.
+  std::uint64_t active_ = event_record::none;
   std::uint64_t next_event_id_ = 0;
-  std::uint64_t last_event_ = trace_context::none;
+  std::uint64_t last_event_ = event_record::none;
   bool id_bits_fixed_ = false;
   bool manual_mode_ = false;
   /// Manual mode: woken-but-not-yet-fired nodes, each with the causal

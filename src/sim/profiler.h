@@ -76,7 +76,7 @@ class cost_profiler {
     queue_pop,   ///< calendar-queue pop (incl. window slides / migration)
     fault_rule,  ///< chaos fault plan ruling on a transmission
     arq,         ///< reliable-link adapter: transport_deliver / on_timer
-    observers,   ///< observer fan-out (tracer, stats feeds, event logs)
+    observers,   ///< observer fan-out (tracer, flight ring, feeds, monitors)
     probes,      ///< health probes (series sampler, stall watchdog)
     wake,        ///< process::on_wake handler
   };

@@ -76,7 +76,7 @@ std::string dispatch_tag_name(std::uint8_t tag) {
     case msg_kind::merge_fail: return "merge_fail";
     case msg_kind::info: return "info";
     case msg_kind::conquer: return "conquer";
-    case msg_kind::member_reply: return "member_reply";
+    case msg_kind::member_reply: return "more_done";
     case msg_kind::probe: return "probe";
     case msg_kind::probe_reply: return "probe_reply";
     case msg_kind::report: return "report";

@@ -79,8 +79,10 @@ class stall_watchdog final : public sim::health_probe {
 };
 
 /// Human-readable name for a dispatch tag (core vocabulary + reliable-link
-/// envelopes); "tag:<N>" for anything unknown, "wake"/"timer" handled by
-/// the callers via the entry kind.
+/// envelopes): a core tag gets its message's type_name(), so flight dumps
+/// and profiles use the names sim::stats and the causal trace use;
+/// "tag:<N>" for anything unknown, "wake"/"timer" handled by the callers
+/// via the entry kind.
 std::string dispatch_tag_name(std::uint8_t tag);
 
 /// Serializes a flight-recorder ring as a standalone JSON document:

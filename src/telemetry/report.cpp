@@ -208,19 +208,21 @@ run_recorder::metrics_observer::metrics_observer(registry& reg)
       wakes_(&reg.get_counter("net.wakes")),
       payload_ids_(&reg.get_histogram("net.payload_ids")) {}
 
-void run_recorder::metrics_observer::on_send(sim::sim_time, node_id, node_id,
-                                             const sim::message& m) {
-  sends_->inc();
-  payload_ids_->record(m.id_fields());
-}
-
-void run_recorder::metrics_observer::on_deliver(sim::sim_time, node_id,
-                                                node_id, const sim::message&) {
-  delivers_->inc();
-}
-
-void run_recorder::metrics_observer::on_wake(sim::sim_time, node_id) {
-  wakes_->inc();
+void run_recorder::metrics_observer::on_event(const sim::event_record& r) {
+  switch (r.what) {
+    case sim::event_record::kind::send:
+      sends_->inc();
+      payload_ids_->record(r.m->id_fields());
+      break;
+    case sim::event_record::kind::deliver:
+      delivers_->inc();
+      break;
+    case sim::event_record::kind::wake:
+      wakes_->inc();
+      break;
+    case sim::event_record::kind::timer:
+      break;
+  }
 }
 
 run_recorder::run_recorder(core::discovery_run& run, recorder_options opts)
@@ -243,7 +245,7 @@ run_recorder::run_recorder(core::discovery_run& run, recorder_options opts)
   }
   if (opts.flight_capacity > 0) {
     flight_ = std::make_unique<sim::flight_recorder>(opts.flight_capacity);
-    run_->net().set_flight_recorder(flight_.get());
+    run_->net().add_observer(flight_.get());
   }
   if (opts.profile) {
     profiler_ = std::make_unique<sim::cost_profiler>();
@@ -257,8 +259,7 @@ run_recorder::run_recorder(core::discovery_run& run, recorder_options opts)
 run_recorder::~run_recorder() {
   if (profiler_ != nullptr && run_->net().profiler() == profiler_.get())
     run_->net().set_profiler(nullptr);
-  if (flight_ != nullptr && run_->net().flight() == flight_.get())
-    run_->net().set_flight_recorder(nullptr);
+  if (flight_ != nullptr) run_->net().remove_observer(flight_.get());
   if (watchdog_ != nullptr) run_->net().remove_health_probe(watchdog_.get());
   if (sampler_ != nullptr) run_->net().remove_health_probe(sampler_.get());
   run_->net().remove_observer(&metrics_obs_);

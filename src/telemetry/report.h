@@ -209,10 +209,10 @@ struct recorder_options {
 };
 
 /// Arms a load observer, a transition recorder, and a metrics registry on a
-/// discovery_run in one shot (via the network's multi-observer) — plus,
-/// when the options ask for them, the series sampler, stall watchdog, and
-/// flight recorder — and builds the report afterwards.  Detaches everything
-/// on destruction.
+/// discovery_run in one shot (as network observers) — plus, when the
+/// options ask for them, the series sampler, stall watchdog, flight
+/// recorder and profiler — and builds the report afterwards.  Detaches
+/// everything on destruction.
 class run_recorder {
  public:
   explicit run_recorder(core::discovery_run& run, recorder_options opts = {});
@@ -242,9 +242,7 @@ class run_recorder {
   class metrics_observer final : public sim::observer {
    public:
     explicit metrics_observer(registry& reg);
-    void on_send(sim::sim_time, node_id, node_id, const sim::message&) override;
-    void on_deliver(sim::sim_time, node_id, node_id, const sim::message&) override;
-    void on_wake(sim::sim_time, node_id) override;
+    void on_event(const sim::event_record& r) override;
 
    private:
     counter* sends_;

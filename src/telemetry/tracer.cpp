@@ -27,41 +27,38 @@ trace_event& tracer::push(trace_event ev) {
   return events_.back();
 }
 
-void tracer::on_wake(sim::sim_time t, node_id v) {
-  const auto& ctx = net_->trace_ctx();
-  trace_event ev;
-  ev.id = ctx.event_id;
-  ev.cause = ctx.cause;
-  ev.release = ctx.release;
-  ev.what = trace_event::kind::wake;
-  ev.to = v;
-  ev.at = t;
-  push(std::move(ev));
-}
-
-void tracer::on_deliver(sim::sim_time t, node_id from, node_id to,
-                        const sim::message& m) {
-  const auto& ctx = net_->trace_ctx();
-  trace_event ev;
-  ev.id = ctx.event_id;
-  ev.cause = ctx.cause;
-  ev.release = ctx.release;
-  ev.what = trace_event::kind::deliver;
-  ev.from = from;
-  ev.to = to;
-  ev.at = t;
-  ev.sent_at = ctx.sent_at;
-  ev.bits = m.bits(net_->statistics().id_bits());
-  ev.type = std::string(m.type_name());
-  push(std::move(ev));
-}
-
-void tracer::on_send(sim::sim_time, node_id, node_id, const sim::message&) {
-  ++sends_observed_;
-  const auto& ctx = net_->trace_ctx();
-  if (!ctx.active) return;  // driver send, outside any activation
-  const auto it = index_.find(ctx.event_id);
-  if (it != index_.end()) ++events_[it->second].sends;
+void tracer::on_event(const sim::event_record& r) {
+  switch (r.what) {
+    case sim::event_record::kind::send: {
+      ++sends_observed_;
+      if (r.id == trace_none) return;  // driver send, outside any activation
+      const auto it = index_.find(r.id);
+      if (it != index_.end()) ++events_[it->second].sends;
+      return;
+    }
+    case sim::event_record::kind::wake:
+    case sim::event_record::kind::deliver: {
+      trace_event ev;
+      ev.id = r.id;
+      ev.cause = r.cause;
+      ev.release = r.release;
+      ev.from = r.from;
+      ev.to = r.to;
+      ev.at = r.at;
+      if (r.what == sim::event_record::kind::wake) {
+        ev.what = trace_event::kind::wake;
+      } else {
+        ev.what = trace_event::kind::deliver;
+        ev.sent_at = r.sent_at;
+        ev.bits = r.m->bits(net_->statistics().id_bits());
+        ev.type = std::string(r.m->type_name());
+      }
+      push(std::move(ev));
+      return;
+    }
+    case sim::event_record::kind::timer:
+      return;
+  }
 }
 
 const trace_event* tracer::find(std::uint64_t id) const {

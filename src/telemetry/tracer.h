@@ -1,17 +1,17 @@
 // Causal tracing: per-event message genealogy for a simulated run.
 //
 // The network assigns every *activation* (one wake callback or one delivery
-// callback) a unique event id and publishes, while the activation runs, the
-// two causal edges that produced it (sim::trace_context):
+// callback) a unique event id and publishes it in the activation's
+// sim::event_record, with the two causal edges that produced it:
 //
 //   * cause   — genealogy: the activation in which the delivered message was
 //               sent (Lamport's happened-before along the message);
 //   * release — scheduling: the activation whose quiescence made the
 //               adversary release a held message or inject a wake.
 //
-// The tracer observer snapshots that into a flat vector of trace_events and
-// assigns each one a Lamport timestamp (causal depth): 1 for roots,
-// max(parent lamports) + 1 otherwise.  Because every cause completes before
+// The tracer observer copies those records into a flat vector of
+// trace_events and assigns each one a Lamport timestamp (causal depth): 1
+// for roots, max(parent lamports) + 1 otherwise.  Because every cause completes before
 // its effects begin, parents always precede children in the vector and the
 // timestamps are computed online in O(1) per event.
 //
@@ -34,7 +34,7 @@
 namespace asyncrd::telemetry {
 
 /// "No such activation" (same sentinel the network uses).
-inline constexpr std::uint64_t trace_none = sim::trace_context::none;
+inline constexpr std::uint64_t trace_none = sim::event_record::none;
 
 /// One traced activation with its causal parents and metadata.
 struct trace_event {
@@ -64,11 +64,7 @@ class tracer final : public sim::observer {
  public:
   explicit tracer(sim::network& net) : net_(&net) {}
 
-  void on_wake(sim::sim_time t, node_id v) override;
-  void on_deliver(sim::sim_time t, node_id from, node_id to,
-                  const sim::message& m) override;
-  void on_send(sim::sim_time t, node_id from, node_id to,
-               const sim::message& m) override;
+  void on_event(const sim::event_record& r) override;
 
   /// All traced activations, in dispatch order (parents precede children).
   const std::vector<trace_event>& events() const noexcept { return events_; }

@@ -55,6 +55,8 @@ TEST(Dynamic, ManySequentialAdditionsStaySafe) {
   core::config cfg;
   cfg.algo = variant::adhoc;
   core::discovery_run run(g, cfg, sched);
+  testing::knowledge_audit audit(g);
+  run.net().add_observer(&audit);
   run.wake_all();
   run.run();
 
@@ -67,6 +69,8 @@ TEST(Dynamic, ManySequentialAdditionsStaySafe) {
       const node_id a = ids[static_cast<std::size_t>(r.below(ids.size()))];
       const node_id b = ids[static_cast<std::size_t>(r.below(ids.size()))];
       run.add_node_dynamic(next_id, {a, b});
+      audit.add_edge(next_id, a);
+      audit.add_edge(next_id, b);
       g.add_edge(next_id, a);
       g.add_edge(next_id, b);
       ++next_id;
@@ -76,6 +80,7 @@ TEST(Dynamic, ManySequentialAdditionsStaySafe) {
       const node_id b = ids[static_cast<std::size_t>(r.below(ids.size()))];
       if (a != b) {
         run.add_link_dynamic(a, b);
+        audit.add_edge(a, b);
         g.add_edge(a, b);
       }
     }
@@ -83,6 +88,8 @@ TEST(Dynamic, ManySequentialAdditionsStaySafe) {
     const auto rep = core::check_final_state(run, g);
     ASSERT_TRUE(rep.ok()) << "after addition " << i << ":\n" << rep.to_string();
   }
+  EXPECT_EQ(audit.violations(), 0)
+      << "knowledge-graph discipline violated: " << audit.first_violation();
 }
 
 TEST(Dynamic, LinkAdditionDuringExecutionIsSafe) {

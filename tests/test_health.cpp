@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "../bench/bench_report.h"
+#include "core/messages.h"
 #include "core/runner.h"
 #include "graph/topology.h"
 #include "sim/flight_recorder.h"
@@ -78,6 +80,32 @@ TEST(DispatchTagName, CoversCoreAndLinkVocabulary) {
   EXPECT_EQ(telemetry::dispatch_tag_name(sim::rl_data_tag), "rl.data");
   EXPECT_EQ(telemetry::dispatch_tag_name(sim::rl_ack_tag), "rl.ack");
   EXPECT_EQ(telemetry::dispatch_tag_name(100), "tag:100");
+
+  // Every core tag is named as its message names itself, so flight dumps
+  // and profiles agree with sim::stats and the causal trace.
+  const sim::message_ptr all[] = {
+      sim::make_message<core::query_msg>(3),
+      sim::make_message<core::query_reply_msg>(core::id_vec{4}, true),
+      sim::make_message<core::search_msg>(7, 2, 11, true),
+      sim::make_message<core::release_msg>(
+          5, 3, core::release_msg::answer_t::merge, 7),
+      sim::make_message<core::merge_accept_msg>(12, 4),
+      sim::make_message<core::merge_fail_msg>(),
+      sim::make_message<core::info_msg>(3, core::id_vec{1}, core::id_vec{},
+                                        core::id_vec{}, core::id_vec{}),
+      sim::make_message<core::conquer_msg>(9, 5),
+      sim::make_message<core::member_reply_msg>(true),
+      sim::make_message<core::probe_msg>(17),
+      sim::make_message<core::probe_reply_msg>(3, 2, 17, core::id_vec{}),
+      sim::make_message<core::report_msg>(6),
+      sim::make_message<core::report_ack_msg>(3, 2, 6),
+  };
+  std::set<std::uint8_t> tags;
+  for (const sim::message_ptr& m : all) {
+    tags.insert(m->dispatch_tag());
+    EXPECT_EQ(telemetry::dispatch_tag_name(m->dispatch_tag()), m->type_name());
+  }
+  EXPECT_EQ(tags.size(), 13u);  // one message per core tag
 }
 
 TEST(Watchdog, DerivesProbeIntervalFromWindow) {
@@ -189,6 +217,11 @@ TEST(Watchdog, CatchesPhaseLockedLivelock) {
   // file is also a ctest fixture input for trace_analyze --flight.
   ASSERT_NE(rec.flight(), nullptr);
   EXPECT_GT(rec.flight()->size(), 0u);
+  std::size_t timers = 0;
+  rec.flight()->visit([&timers](const sim::flight_entry& e) {
+    if (e.what == sim::flight_entry::kind::timer) ++timers;
+  });
+  EXPECT_GT(timers, 0u);
   const std::string dump = telemetry::flight_dump_json(*rec.flight());
   const auto doc = telemetry::json_parse(dump);
   ASSERT_TRUE(doc.has_value());

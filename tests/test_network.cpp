@@ -2,10 +2,15 @@
 // blocking, quiescence hooks, accounting plumbing.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/runner.h"
+#include "graph/topology.h"
+#include "sim/flight_recorder.h"
 #include "sim/network.h"
 
 namespace asyncrd {
@@ -149,9 +154,9 @@ TEST(Network, UnblockReleasesHeldChannelsInDestinationOrder) {
   };
   class delivery_log final : public sim::observer {
    public:
-    void on_deliver(sim::sim_time, node_id, node_id to,
-                    const sim::message& m) override {
-      delivered.emplace_back(to, static_cast<const tag_msg&>(m).value);
+    void on_event(const sim::event_record& r) override {
+      if (r.what != sim::event_record::kind::deliver) return;
+      delivered.emplace_back(r.to, static_cast<const tag_msg&>(*r.m).value);
     }
     std::vector<std::pair<node_id, int>> delivered;
   };
@@ -281,14 +286,14 @@ TEST(Network, WakeUnknownNodeRejected) {
 TEST(Network, ObserverSeesSendsAndDeliveries) {
   class counting_observer final : public sim::observer {
    public:
-    void on_send(sim::sim_time, node_id, node_id, const sim::message&) override {
-      ++sends;
+    void on_event(const sim::event_record& r) override {
+      switch (r.what) {
+        case sim::event_record::kind::send: ++sends; break;
+        case sim::event_record::kind::deliver: ++delivers; break;
+        case sim::event_record::kind::wake: ++wakes; break;
+        case sim::event_record::kind::timer: break;
+      }
     }
-    void on_deliver(sim::sim_time, node_id, node_id,
-                    const sim::message&) override {
-      ++delivers;
-    }
-    void on_wake(sim::sim_time, node_id) override { ++wakes; }
     int sends = 0, delivers = 0, wakes = 0;
   };
   counting_observer obs;
@@ -302,6 +307,48 @@ TEST(Network, ObserverSeesSendsAndDeliveries) {
   EXPECT_EQ(obs.sends, 5);
   EXPECT_EQ(obs.delivers, 5);
   EXPECT_EQ(obs.wakes, 2);  // node 1 explicit, node 2 via delivery
+}
+
+// The record stream of a reliable run: every node wakes once, every send is
+// delivered (same endpoints, same type), and time never runs backwards.
+TEST(Network, RecordStreamOfAReliableRun) {
+  using link = std::tuple<node_id, node_id, std::string>;
+  class stream_check final : public sim::observer {
+   public:
+    void on_event(const sim::event_record& r) override {
+      if (r.at < last_at) ++backwards;
+      last_at = r.at;
+      switch (r.what) {
+        case sim::event_record::kind::wake: woken.insert(r.to); break;
+        case sim::event_record::kind::send:
+          sent.insert({r.from, r.to, std::string(r.m->type_name())});
+          break;
+        case sim::event_record::kind::deliver:
+          got.insert({r.from, r.to, std::string(r.m->type_name())});
+          break;
+        case sim::event_record::kind::timer: ++timers; break;
+      }
+    }
+    std::multiset<node_id> woken;
+    std::multiset<link> sent, got;
+    sim::sim_time last_at = 0;
+    int backwards = 0, timers = 0;
+  };
+  const auto g = graph::random_weakly_connected(20, 30, 4);
+  sim::random_delay_scheduler sched(4);
+  core::config cfg;
+  core::discovery_run run(g, cfg, sched);
+  stream_check check;
+  run.net().add_observer(&check);
+  run.wake_all();
+  ASSERT_TRUE(run.run().completed);
+
+  const std::vector<node_id> ids = g.nodes();
+  EXPECT_EQ(check.woken, std::multiset<node_id>(ids.begin(), ids.end()));
+  EXPECT_FALSE(check.sent.empty());
+  EXPECT_EQ(check.sent, check.got);
+  EXPECT_EQ(check.backwards, 0);
+  EXPECT_EQ(check.timers, 0);  // no link adapter, no timers
 }
 
 TEST(Network, StatsCountAtSendTime) {
@@ -393,13 +440,12 @@ TEST(Network, ManualWakeCarriesRequestingActivationAsCause) {
   };
   class anchor_probe final : public sim::observer {
    public:
-    void on_wake(sim::sim_time, node_id id) override {
-      const auto& ctx = net->trace_ctx();
-      ids.push_back(ctx.event_id);
-      causes.push_back(ctx.cause);
-      woken.push_back(id);
+    void on_event(const sim::event_record& r) override {
+      if (r.what != sim::event_record::kind::wake) return;
+      ids.push_back(r.id);
+      causes.push_back(r.cause);
+      woken.push_back(r.to);
     }
-    const sim::network* net = nullptr;
     std::vector<std::uint64_t> ids, causes;
     std::vector<node_id> woken;
   };
@@ -412,7 +458,6 @@ TEST(Network, ManualWakeCarriesRequestingActivationAsCause) {
   net.add_node(1, std::move(req));
   net.add_node(2, std::make_unique<recorder_process>());
   anchor_probe probe;
-  probe.net = &net;
   net.add_observer(&probe);
 
   net.wake(1);  // requested outside any activation: a genuine root
@@ -427,9 +472,33 @@ TEST(Network, ManualWakeCarriesRequestingActivationAsCause) {
   net.take_step(opts[0]);
 
   ASSERT_EQ(probe.woken, (std::vector<node_id>{1, 2}));
-  EXPECT_EQ(probe.causes[0], sim::trace_context::none);  // true root
+  EXPECT_EQ(probe.causes[0], sim::event_record::none);  // true root
   // Node 2's wake descends from node 1's activation, not from nowhere.
   EXPECT_EQ(probe.causes[1], probe.ids[0]);
+}
+
+// Manual steps are activations like any other: a flight ring attached as an
+// observer sees their wakes and deliveries.
+TEST(Network, ManualStepsReachTheFlightRing) {
+  sim::unit_delay_scheduler sched;
+  sim::network net(sched);
+  net.set_manual_mode();
+  net.add_node(1, std::make_unique<burst_process>(2, 3));
+  net.add_node(2, std::make_unique<recorder_process>());
+  sim::flight_recorder ring(64);
+  net.add_observer(&ring);
+  net.wake(1);
+  for (auto opts = net.manual_options(); !opts.empty();
+       opts = net.manual_options())
+    net.take_step(opts.front());
+
+  int wakes = 0, delivers = 0;
+  ring.visit([&](const sim::flight_entry& e) {
+    if (e.what == sim::flight_entry::kind::wake) ++wakes;
+    if (e.what == sim::flight_entry::kind::deliver) ++delivers;
+  });
+  EXPECT_EQ(wakes, 2);  // node 1 explicit, node 2 via delivery
+  EXPECT_EQ(delivers, 3);
 }
 
 TEST(Network, TimeAdvancesMonotonically) {

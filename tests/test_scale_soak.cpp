@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "asyncrd.h"
+#include "test_util.h"
 
 namespace asyncrd {
 namespace {
@@ -45,6 +46,8 @@ TEST(Soak, MixedOperationsLongSequence) {
   core::config cfg;
   cfg.algo = core::variant::adhoc;
   core::discovery_run run(g, cfg, sched);
+  testing::knowledge_audit audit(g);
+  run.net().add_observer(&audit);
   run.wake_all();
   run.run();
 
@@ -55,6 +58,7 @@ TEST(Soak, MixedOperationsLongSequence) {
       case 0: {  // dynamic node join
         const node_id peer = ids[static_cast<std::size_t>(r.below(ids.size()))];
         run.add_node_dynamic(next_id, {peer});
+        audit.add_edge(next_id, peer);
         g.add_edge(next_id, peer);
         ++next_id;
         break;
@@ -64,6 +68,7 @@ TEST(Soak, MixedOperationsLongSequence) {
         const node_id b = ids[static_cast<std::size_t>(r.below(ids.size()))];
         if (a != b) {
           run.add_link_dynamic(a, b);
+          audit.add_edge(a, b);
           g.add_edge(a, b);
         }
         break;
@@ -89,6 +94,8 @@ TEST(Soak, MixedOperationsLongSequence) {
   const auto rep = core::check_final_state(run, g);
   EXPECT_TRUE(rep.ok()) << rep.to_string();
   EXPECT_EQ(run.leaders().size(), 1u);
+  EXPECT_EQ(audit.violations(), 0)
+      << "knowledge-graph discipline violated: " << audit.first_violation();
 }
 
 TEST(LoadObserver, CountsMatchGlobalStats) {

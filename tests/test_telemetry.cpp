@@ -1,5 +1,5 @@
 // Telemetry subsystem: histogram buckets and quantiles, the JSON
-// writer/parser pair, the network's multi-observer fan-out, the metrics
+// writer/parser pair, the network's observer fan-out, the metrics
 // registry, and run_report determinism on a fixed seed/topology.
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -314,7 +315,7 @@ TEST(Metrics, RegistryInstrumentsAreStableAndResettable) {
   EXPECT_NE(parsed->find("histograms"), nullptr);
 }
 
-// ----------------------------------------------------- multi-observer
+// ------------------------------------------------------- observer fan-out
 
 /// Appends "<tag><event>" markers so tests can assert fan-out order.
 class tagging_observer final : public sim::observer {
@@ -322,14 +323,21 @@ class tagging_observer final : public sim::observer {
   tagging_observer(std::string tag, std::vector<std::string>& sink)
       : tag_(std::move(tag)), sink_(&sink) {}
 
-  void on_send(sim::sim_time, node_id, node_id, const sim::message&) override {
-    sink_->push_back(tag_ + ":send");
-  }
-  void on_deliver(sim::sim_time, node_id, node_id, const sim::message&) override {
-    sink_->push_back(tag_ + ":deliver");
-  }
-  void on_wake(sim::sim_time, node_id v) override {
-    sink_->push_back(tag_ + ":wake" + std::to_string(v));
+  void on_event(const sim::event_record& r) override {
+    switch (r.what) {
+      case sim::event_record::kind::send:
+        sink_->push_back(tag_ + ":send");
+        break;
+      case sim::event_record::kind::deliver:
+        sink_->push_back(tag_ + ":deliver");
+        break;
+      case sim::event_record::kind::wake:
+        sink_->push_back(tag_ + ":wake" + std::to_string(r.to));
+        break;
+      case sim::event_record::kind::timer:
+        sink_->push_back(tag_ + ":timer");
+        break;
+    }
   }
 
  private:
@@ -337,23 +345,33 @@ class tagging_observer final : public sim::observer {
   std::vector<std::string>* sink_;
 };
 
+class idle_process final : public sim::process {
+ public:
+  void on_wake(sim::context&) override {}
+  void on_message(sim::context&, node_id, const sim::message_ptr&) override {}
+};
+
 TEST(MultiObserver, FansOutInRegistrationOrder) {
+  sim::unit_delay_scheduler sched;
+  sim::network net(sched);
+  net.add_node(7, std::make_unique<idle_process>());
+  net.add_node(8, std::make_unique<idle_process>());
   std::vector<std::string> calls;
   tagging_observer a("a", calls), b("b", calls);
-  sim::multi_observer fan;
-  EXPECT_TRUE(fan.empty());
-  fan.add(&a);
-  fan.add(&b);
-  EXPECT_EQ(fan.size(), 2u);
+  net.add_observer(&a);
+  net.add_observer(&b);
 
-  fan.on_wake(0, 7);
+  net.wake(7);
+  net.run();
   ASSERT_EQ(calls.size(), 2u);
   EXPECT_EQ(calls[0], "a:wake7");  // registration order
   EXPECT_EQ(calls[1], "b:wake7");
 
   calls.clear();
-  fan.remove(&a);
-  fan.on_wake(1, 8);
+  EXPECT_TRUE(net.remove_observer(&a));
+  EXPECT_FALSE(net.remove_observer(&a));
+  net.wake(8);
+  net.run();
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0], "b:wake8");
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 
+#include "core/runner.h"
 #include "graph/topology.h"
 
 namespace asyncrd {
@@ -149,6 +150,52 @@ TEST(Topology, MultiComponentHasExactlyParts) {
   EXPECT_EQ(g.node_count(), 40u);
   EXPECT_EQ(g.weak_components().size(), 4u);
   for (const auto& comp : g.weak_components()) EXPECT_EQ(comp.size(), 10u);
+}
+
+TEST(NewTopologies, HypercubeShape) {
+  const auto g = graph::hypercube(5, 3);
+  EXPECT_EQ(g.node_count(), 32u);
+  EXPECT_EQ(g.edge_count(), 5u * 32u / 2u);  // one orientation per edge
+  EXPECT_TRUE(g.is_weakly_connected());
+}
+
+TEST(NewTopologies, GridShape) {
+  const auto g = graph::grid(4, 5);
+  EXPECT_EQ(g.node_count(), 20u);
+  EXPECT_EQ(g.edge_count(), 4u * 4u + 3u * 5u);  // right + down edges
+  EXPECT_TRUE(g.is_weakly_connected());
+}
+
+TEST(NewTopologies, LayeredDagConnectedAndSized) {
+  const auto g = graph::layered_dag(5, 6, 2, 7);
+  EXPECT_EQ(g.node_count(), 30u);
+  EXPECT_TRUE(g.is_weakly_connected());
+}
+
+TEST(NewTopologies, BowtieShape) {
+  const auto g = graph::bowtie(5);
+  EXPECT_EQ(g.node_count(), 10u);
+  EXPECT_EQ(g.edge_count(), 2u * 20u + 1u);
+  EXPECT_TRUE(g.is_weakly_connected());
+}
+
+TEST(NewTopologies, DiscoveryWorksOnAllOfThem) {
+  for (const auto variant : {core::variant::generic, core::variant::bounded,
+                             core::variant::adhoc}) {
+    for (int which = 0; which < 4; ++which) {
+      graph::digraph g;
+      switch (which) {
+        case 0: g = graph::hypercube(5, 1); break;
+        case 1: g = graph::grid(5, 6); break;
+        case 2: g = graph::layered_dag(4, 5, 2, 3); break;
+        case 3: g = graph::bowtie(6); break;
+      }
+      const auto s = core::run_discovery(g, variant, 5);
+      EXPECT_EQ(s.leaders.size(), 1u)
+          << "variant " << core::to_string(variant) << " topo " << which;
+      EXPECT_TRUE(s.completed);
+    }
+  }
 }
 
 }  // namespace

@@ -27,6 +27,8 @@ namespace asyncrd::testing {
 /// known(v) starts as out_E0(v) ∪ {v} and grows by the model's rule (§1:
 /// E grows "each time a node receives an id of a node it did not know of"):
 /// a delivery teaches the receiver the sender and every id in the payload.
+/// Drivers that grow the graph outside the message stream (dynamic joins
+/// and links, §6) report each new edge with add_edge.
 class knowledge_audit final : public sim::observer {
  public:
   explicit knowledge_audit(const graph::digraph& g) {
@@ -37,8 +39,22 @@ class knowledge_audit final : public sim::observer {
     }
   }
 
-  void on_send(sim::sim_time, node_id from, node_id to,
-               const sim::message& m) override {
+  /// The driver gave `u` the id `v` (a joining node's initial contacts, or
+  /// add_link_dynamic).  `u` also knows itself, which covers a new node.
+  void add_edge(node_id u, node_id v) { learned_[u].insert({u, v}); }
+
+  void on_event(const sim::event_record& r) override {
+    if (r.what == sim::event_record::kind::send)
+      check_send(r.from, r.to, *r.m);
+    else if (r.what == sim::event_record::kind::deliver)
+      learn_delivery(r.from, r.to, *r.m);
+  }
+
+  int violations() const noexcept { return violations_; }
+  const std::string& first_violation() const noexcept { return detail_; }
+
+ private:
+  void check_send(node_id from, node_id to, const sim::message& m) {
     if (learned_[from].contains(to)) return;
     ++violations_;
     if (detail_.empty())
@@ -46,8 +62,7 @@ class knowledge_audit final : public sim::observer {
                 std::string(m.type_name()) + ")";
   }
 
-  void on_deliver(sim::sim_time, node_id from, node_id to,
-                  const sim::message& m) override {
+  void learn_delivery(node_id from, node_id to, const sim::message& m) {
     using core::msg_kind;
     std::unordered_set<node_id>& k = learned_[to];
     k.insert(from);
@@ -104,10 +119,6 @@ class knowledge_audit final : public sim::observer {
     }
   }
 
-  int violations() const noexcept { return violations_; }
-  const std::string& first_violation() const noexcept { return detail_; }
-
- private:
   std::unordered_map<node_id, std::unordered_set<node_id>> learned_;
   int violations_ = 0;
   std::string detail_;
