@@ -7,6 +7,8 @@
 // the ISSUE 3 acceptance criterion is phrased in.  Baseline (std::map nodes
 // and channels, binary-heap event queue, make_shared per message) measured
 // before the rewrite is recorded under notes.pre_pr_events_per_sec_10k.
+// The 100k rows run the same workload ten times larger, so the gate sees
+// how a leader's id-set work grows with n.
 // The setup_wall row times what a run pays before its first event
 // (generate, weak components, node construction, wake) at 100k nodes.
 #include <chrono>
@@ -48,6 +50,9 @@ int main(int argc, char** argv) {
       {10000, core::variant::generic, "generic"},
       {10000, core::variant::bounded, "bounded"},
       {10000, core::variant::adhoc, "adhoc"},
+      {100000, core::variant::generic, "generic"},
+      {100000, core::variant::bounded, "bounded"},
+      {100000, core::variant::adhoc, "adhoc"},
   };
 
   // Each configuration is a deterministic execution (same events every

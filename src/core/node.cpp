@@ -4,6 +4,7 @@
 #include "core/node.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "common/check.h"
@@ -351,25 +352,19 @@ void node::explore_step(sim::context& ctx) {
       return;
     }
 
-    // Stale entries: ids discovered while unexplored that since became
-    // members (absorbed via a merge).  Exploring a member would route a
-    // search back to ourselves; prune at pick time.  The prune and the pick
-    // are erased as one prefix so the frontier shifts once, not per entry.
-    auto pick = unexplored_.begin();
-    while (pick != unexplored_.end() && (is_member(*pick) || *pick == id_))
-      ++pick;
-
-    if (pick != unexplored_.end()) {
-      const node_id u = *pick;
-      unexplored_.erase(unexplored_.begin(), pick + 1);
+    if (!unexplored_.empty()) {
+      const node_id u = *unexplored_.begin();
+      // Exploring a member would route a search back to ourselves.  The
+      // frontier holds none: on_info drops the ids it makes members, and
+      // every other path filters members out before adding to it.
+      ASYNCRD_CHECK(!is_member(u) && u != id_);
+      unexplored_.erase(unexplored_.begin());
       send_search(ctx, u);
       awaiting_release_ = true;
       set_status(status_t::wait);
       drain_deferred(ctx);
       return;
     }
-    // Entirely stale frontier: drop it (as the per-entry prune did).
-    unexplored_.erase(unexplored_.begin(), pick);
 
     if (more_.empty()) {
       // Out of work: wait until a search with the new flag (or a §6 report)
@@ -408,8 +403,8 @@ void node::self_query(std::size_t k, id_vec& out, bool& done_flag) {
   }
   done_flag = false;
   // flat_set iterates ascending, so the extracted prefix is exactly the k
-  // smallest ids — the same picks std::set made — removable in one shift.
-  const auto cut = local_.begin() + static_cast<std::ptrdiff_t>(k);
+  // smallest ids — the same picks std::set made — removable in one erase.
+  const auto cut = std::next(local_.begin(), static_cast<std::ptrdiff_t>(k));
   out.assign(local_.begin(), cut);
   local_.erase(local_.begin(), cut);
 }
@@ -532,7 +527,9 @@ void node::on_info(sim::context& ctx, const info_msg& m) {
     insert_unknown(unaware_, m.done, id_, more_, done_);
     insert_unknown(unaware_, m.unaware, id_, more_, done_);
     insert_unknown(unexplored_, m.unexplored, id_, more_, done_, unaware_);
-    prune_unexplored();
+    // unaware_ was empty, so it now holds exactly the members this info
+    // made; only they can be stale in the frontier.
+    unexplored_.erase_sorted(unaware_.begin(), unaware_.end());
     const std::size_t members = more_.size() + done_.size() + unaware_.size();
     if (cfg_->use_phases &&
         (phase_ == m.phase || members >= (std::size_t{1} << (phase_ + 1)))) {
@@ -546,7 +543,9 @@ void node::on_info(sim::context& ctx, const info_msg& m) {
     insert_unknown(more_, m.more, id_);
     insert_unknown(done_, m.done, id_, more_);
     insert_unknown(unexplored_, m.unexplored, id_, more_, done_);
-    prune_unexplored();
+    // The members this info made came from its (ascending) more and done.
+    unexplored_.erase_sorted(m.more.begin(), m.more.end());
+    unexplored_.erase_sorted(m.done.begin(), m.done.end());
     const std::size_t members = more_.size() + done_.size();
     if (cfg_->use_phases &&
         (phase_ == m.phase || members >= (std::size_t{1} << (phase_ + 1)))) {
@@ -712,15 +711,6 @@ void node::learn_id(sim::context& ctx, node_id w) {
 
 bool node::is_member(node_id v) const {
   return more_.contains(v) || done_.contains(v) || unaware_.contains(v);
-}
-
-void node::prune_unexplored() {
-  for (auto it = unexplored_.begin(); it != unexplored_.end();) {
-    if (*it == id_ || is_member(*it))
-      it = unexplored_.erase(it);
-    else
-      ++it;
-  }
 }
 
 void node::send_search(sim::context& ctx, node_id u) {

@@ -194,7 +194,6 @@ class node final : public sim::process {
 
   // -- misc helpers -------------------------------------------------------------
   bool is_member(node_id v) const;
-  void prune_unexplored();
   void send_search(sim::context& ctx, node_id u);
   id_vec census_ids() const;
   /// Monotone next-pointer update: redirect only toward a lexicographically
@@ -213,10 +212,10 @@ class node final : public sim::process {
 
   // -- Fig 2 data structures --
   status_t status_ = status_t::asleep;
-  // All id sets are sorted flat vectors (common/flat_set.h): same ascending
-  // iteration order as the std::set they replace, so every deterministic
-  // "smallest first" choice is preserved, at a fraction of the per-element
-  // cost on the delivery hot path.
+  // All id sets are flat_sets (common/flat_set.h): sorted vectors that turn
+  // into bitmaps once large and dense, as a big leader's more, done and
+  // unexplored do.  Both forms iterate in std::set's ascending order, so
+  // every deterministic "smallest first" choice is preserved.
   flat_set<node_id> local_;
   flat_set<node_id> more_, done_, unaware_, unexplored_;
   /// FIFO of (routed request, node it arrived from) awaiting this node's
