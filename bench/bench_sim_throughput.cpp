@@ -11,11 +11,19 @@
 // how a leader's id-set work grows with n.
 // The setup_wall row times what a run pays before its first event
 // (generate, weak components, node construction, wake) at 100k nodes.
+// The channel_slots rows record, per variant at 100k, the most channel
+// records the network ever held at once.  The value is deterministic and
+// follows the messages in flight; a network that kept a record per pair
+// that ever carried traffic would multiply it.
+// Every timed configuration is also checked once against the §1.2
+// specification (core::check_final_state), outside the timed event loop;
+// a failed check makes the report's "ok" false.
 #include <chrono>
 #include <iostream>
 
 #include "bench_report.h"
 #include "common/table.h"
+#include "core/checker.h"
 #include "core/runner.h"
 #include "graph/topology.h"
 #include "sim/sweep.h"
@@ -69,6 +77,8 @@ int main(int argc, char** argv) {
     std::uint64_t events = 0;
     double wall_ms = 0.0;
     bool completed = true;
+    bool spec_ok = true;
+    std::size_t channel_slots = 0;
     sim::pool_detail::reset_peak_bytes();
     for (int i = 0; i < reps; ++i) {
       sim::unit_delay_scheduler sched;
@@ -78,6 +88,12 @@ int main(int argc, char** argv) {
       run.wake_all();
       const auto r = run.run();
       completed = completed && r.completed;
+      // Every rep is the same execution: check the first one.  The event
+      // loop's own clock times the run, so the check is not in it.
+      if (i == 0) {
+        spec_ok = core::check_final_state(run, g).ok();
+        channel_slots = run.net().channel_slots();
+      }
       const sim::run_timing& timing = run.net().timing();
       const double eps = timing.events_per_sec();
       if (eps > best_eps) {
@@ -86,7 +102,9 @@ int main(int argc, char** argv) {
         wall_ms = timing.wall_ms();
       }
     }
-    all_ok = all_ok && completed;
+    if (!spec_ok)
+      std::cout << "spec check FAILED: " << j.name << " n=" << j.n << '\n';
+    all_ok = all_ok && completed && spec_ok;
     if (j.n == 10000 && j.v == core::variant::generic)
       headline = best_eps;
     const std::string label =
@@ -98,6 +116,9 @@ int main(int argc, char** argv) {
     rep.add(j.name, static_cast<double>(j.n), best_eps, 0.0);
     t.add_row({std::to_string(j.n), j.name, std::to_string(events),
                fmt_double(wall_ms), fmt_double(best_eps)});
+    if (j.n == 100000)
+      rep.add("channel_slots_" + std::string(j.name), static_cast<double>(j.n),
+              static_cast<double>(channel_slots), 0.0);
   }
   // Parallel seed sweep over the same 1k topology: total events dispatched
   // across all workers divided by sweep wall time.  On multi-core hosts this
@@ -114,6 +135,14 @@ int main(int argc, char** argv) {
     const double eps = sw.wall_ms > 0.0 ? total * 1e3 / sw.wall_ms : 0.0;
     rep.add("sweep_1k_x8", 1000.0, eps, 0.0);
     rep.note("sweep_workers", static_cast<double>(sw.workers));
+    // Check the sweep's first cell (delay seed 100) after the timed sweep.
+    sim::random_delay_scheduler sched(100);
+    core::discovery_run run(g, core::config{}, sched);
+    run.wake_all();
+    const bool sweep_ok =
+        run.run().completed && core::check_final_state(run, g).ok();
+    if (!sweep_ok) std::cout << "spec check FAILED: sweep_1k_x8\n";
+    all_ok = all_ok && sweep_ok;
     t.add_row({"1000x8", "sweep", fmt_double(total), fmt_double(sw.wall_ms),
                fmt_double(eps)});
   }

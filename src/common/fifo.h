@@ -6,12 +6,15 @@
 // std::deque allocates its map and first chunk on construction (about 600
 // bytes in libstdc++, whether or not anything is ever queued).
 //
-// Popping the last element rewinds the queue to the start of its buffer,
-// which it then reuses; once the head passes half the buffer, the live
-// elements move down to the front, so the popped prefix never outgrows the
-// backlog of a queue that never drains.  A vector and an index are
-// nothrow-movable, so a vector of fifos grows by moving them instead of
-// copying them.
+// Popping the last element rewinds the queue to the start of its buffer
+// and keeps the buffer.  The network relies on that: a channel record
+// retires when its queue drains, and the next channel opened in the same
+// slab slot pushes into the kept buffer, so buffers are allocated per slot
+// (per channel live at once), not per pair that ever carried a message.
+// Once the head passes half the buffer, the live elements move down to the
+// front, so the popped prefix never outgrows the backlog of a queue that
+// never drains.  A vector and an index are nothrow-movable, so a vector of
+// fifos grows by moving them instead of copying them.
 #pragma once
 
 #include <cassert>

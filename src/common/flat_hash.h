@@ -2,16 +2,20 @@
 //
 // Purpose-built for the simulator's dense-index tables (node id -> slot
 // index, packed (from, to) channel key -> channel index): linear probing in
-// one flat array, power-of-two capacity, no erase (the simulator never
-// removes nodes or channels), fibonacci hashing.  Compared to std::map this
+// one flat array, power-of-two capacity, fibonacci hashing.  erase uses
+// backward-shift deletion, so there are no tombstones: after any mix of
+// inserts and erases every probe is as short as in a table that never held
+// the erased keys.  The network's channel index relies on that, since it
+// erases a channel the moment the channel drains.  Compared to std::map this
 // removes the per-lookup pointer chase and allocation per insert; compared
 // to std::unordered_map it removes the bucket indirection and keeps the
 // whole table in a few cache lines for small systems.
 //
 // Key restriction: the all-ones 64-bit key is reserved as the empty marker.
-// Both users satisfy this structurally — node ids are 32-bit values
-// (zero-extended), channel keys pack two 32-bit *indices* of which at least
-// the `from` half is a real slot index (< 2^32 - 1).
+// The simulator's keys never take it: node ids are 32-bit values
+// (zero-extended), and a packed (from, to) pair is all ones only if both
+// halves are 2^32 - 1, which no slot index is and which as a node id is
+// invalid_node.
 #pragma once
 
 #include <cassert>
@@ -74,6 +78,33 @@ class flat_u64_map {
         return true;
       }
     }
+  }
+
+  /// Removes `key`; returns false if it was absent.  Each entry after the
+  /// erased one in its probe cluster moves back into the hole when its home
+  /// slot allows, so lookups never pass a deleted marker.
+  bool erase(std::uint64_t key) noexcept {
+    assert(key != empty_key);
+    if (slots_.empty()) return false;
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = probe_start(key);
+    for (;; hole = (hole + 1) & mask) {
+      if (slots_[hole].key == key) break;
+      if (slots_[hole].key == empty_key) return false;
+    }
+    for (std::size_t j = (hole + 1) & mask; slots_[j].key != empty_key;
+         j = (j + 1) & mask) {
+      // The entry at j may fill the hole iff the hole lies on its probe
+      // path, i.e. its home slot is no closer to j than the hole is.
+      const std::size_t home = probe_start(slots_[j].key);
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = entry{};
+    --size_;
+    return true;
   }
 
   void clear() noexcept {

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
@@ -148,8 +147,11 @@ class reliable_link_layer final : public link_adapter {
     node_id to = invalid_node;
     std::uint64_t next_seq = 0;  ///< next sequence number to assign
     std::uint64_t base = 0;      ///< lowest unacked sequence number
-    /// Envelopes sent but not yet cumulatively acked, in seq order.
-    std::deque<message_ptr> unacked;
+    /// Envelopes sent but not yet cumulatively acked, in seq order.  The
+    /// window is a few envelopes, so erasing acked ones from the front is
+    /// cheap, and a vector holds just the window where a std::deque
+    /// allocates a 512-byte chunk and its map for even one envelope.
+    std::vector<message_ptr> unacked;
     sim_time rto = 0;            ///< current retransmit timeout
     /// A pending timer is live iff it fires at exactly this deadline; acks
     /// and backoffs move the deadline, orphaning superseded timer events.

@@ -269,6 +269,12 @@ run_recorder::~run_recorder() {
 
 run_report run_recorder::report(const sim::run_result& result) const {
   run_report rep = collect_run_report(*run_, result, &load_, &transitions_);
+  // Channel memory: records opened over the run, and the most ever live at
+  // once (the slab's high-water mark, which bounds channel state).
+  rep.extra["net.channel_opens"] =
+      static_cast<double>(run_->net().channel_opens());
+  rep.extra["net.channel_slots"] =
+      static_cast<double>(run_->net().channel_slots());
   if (sampler_ != nullptr) {
     rep.series.interval = sampler_->interval();
     const series_frame& f = sampler_->frame();

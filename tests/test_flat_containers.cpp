@@ -500,6 +500,106 @@ TEST(FlatU64Map, ForEachVisitsEveryPairOnce) {
   EXPECT_EQ(seen, ref);
 }
 
+TEST(FlatU64Map, EraseReportsPresenceAndAllowsReinsert) {
+  flat_u64_map m;
+  EXPECT_FALSE(m.erase(5));  // empty table
+  m.insert(5, 1);
+  m.insert(6, 2);
+  EXPECT_FALSE(m.erase(7));  // absent key
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_TRUE(m.erase(5));
+  EXPECT_FALSE(m.erase(5));  // already gone
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(m.find(5), flat_u64_map::npos);
+  EXPECT_EQ(m.find(6), 2u);
+  EXPECT_TRUE(m.try_insert(5, 3));  // the freed slot takes a new entry
+  EXPECT_FALSE(m.try_insert(5, 4));
+  EXPECT_EQ(m.find(5), 3u);
+  EXPECT_EQ(m.size(), 2u);
+}
+
+// Home slot of `key` in a 16-slot table, by the map's Fibonacci hash.  Used
+// only to build colliding keys; the assertions below hold for any hash.
+std::size_t home16(std::uint64_t key) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 60);
+}
+
+// One probe cluster that wraps past the table's end: keys homed at 14, 15,
+// 0 and 1 fill slots 14..7, and a key homed at 8 sits in its own slot right
+// behind them.  Erasing from the front shifts the wrapped entries back
+// across the end; the key at its home slot must stay put.
+TEST(FlatU64Map, EraseShiftsWrappedClusterBack) {
+  std::vector<std::uint64_t> keys;
+  std::set<std::uint64_t> used;
+  const auto take = [&](std::size_t home, int count) {
+    for (std::uint64_t k = 1; count > 0; ++k)
+      if (home16(k) == home && used.insert(k).second) {
+        keys.push_back(k);
+        --count;
+      }
+  };
+  take(14, 4);
+  take(15, 3);
+  take(0, 2);
+  take(1, 1);
+  take(8, 1);
+  ASSERT_EQ(keys.size(), 11u);  // 11 of 16 slots: no rehash below 14
+  for (const int erase_first : {0, 3, 6, 9}) {
+    SCOPED_TRACE(erase_first);
+    flat_u64_map m;
+    std::unordered_map<std::uint64_t, std::uint32_t> ref;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      m.insert(keys[i], static_cast<std::uint32_t>(i));
+      ref.emplace(keys[i], static_cast<std::uint32_t>(i));
+    }
+    // Erase every key, starting at a different point of the cluster each
+    // time, checking every key after each erase.
+    for (std::size_t step = 0; step < keys.size(); ++step) {
+      const std::uint64_t k =
+          keys[(static_cast<std::size_t>(erase_first) + step) % keys.size()];
+      EXPECT_TRUE(m.erase(k));
+      ref.erase(k);
+      ASSERT_EQ(m.size(), ref.size());
+      for (const std::uint64_t q : keys) {
+        const auto it = ref.find(q);
+        ASSERT_EQ(m.find(q), it == ref.end() ? flat_u64_map::npos : it->second)
+            << "key " << q << " (home " << home16(q) << ") after erasing " << k;
+      }
+    }
+    EXPECT_TRUE(m.empty());
+  }
+}
+
+// Randomized insert/erase churn against std::unordered_map, on a small key
+// range (long clusters in a table that stays small) and a wide one (growth).
+TEST(FlatU64Map, EraseMatchesUnorderedMapUnderChurn) {
+  for (const std::uint64_t range : {24ull, 5000ull}) {
+    SCOPED_TRACE(range);
+    flat_u64_map m;
+    std::unordered_map<std::uint64_t, std::uint32_t> ref;
+    rng r(range);
+    for (std::uint32_t op = 0; op < 40000; ++op) {
+      const std::uint64_t k = r.below(range) * 7 + 3;
+      if (r.below(2) == 0) {
+        const bool inserted = m.try_insert(k, op);
+        EXPECT_EQ(inserted, ref.emplace(k, op).second);
+      } else {
+        EXPECT_EQ(m.erase(k), ref.erase(k) == 1);
+      }
+      ASSERT_EQ(m.size(), ref.size());
+      if (op % 997 == 0)
+        for (std::uint64_t q = 0; q < range; ++q) {
+          const auto it = ref.find(q * 7 + 3);
+          ASSERT_EQ(m.find(q * 7 + 3),
+                    it == ref.end() ? flat_u64_map::npos : it->second);
+        }
+    }
+    std::unordered_map<std::uint64_t, std::uint32_t> seen;
+    m.for_each([&](std::uint64_t k, std::uint32_t v) { seen.emplace(k, v); });
+    EXPECT_EQ(seen, ref);
+  }
+}
+
 TEST(FlatU64Map, ClearResets) {
   flat_u64_map m;
   m.insert(1, 2);

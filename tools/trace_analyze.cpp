@@ -1,7 +1,8 @@
 // trace_analyze — read a causal trace (discovery_cli --trace / Perfetto
 // JSON) and explain the run: critical path, fan-out, per-type latency,
 // and (with --parallelism) the trace-derived concurrency profile that
-// sizes the parallel-scheduler work (ROADMAP item 1).
+// sized the parallel-engine work (ROADMAP "The parallel engine", closed
+// when the engine was deleted).
 //
 //   trace_analyze [options] FILE...
 //     --path-lines N   print at most N hops of the critical path (default 24)
