@@ -15,6 +15,11 @@
 // records the network ever held at once.  The value is deterministic and
 // follows the messages in flight; a network that kept a record per pair
 // that ever carried traffic would multiply it.
+// The mem_<part>_<variant> rows record, per variant at 100k, the heap bytes
+// each part of the run holds when it ends (core::discovery_run::
+// memory_parts): the event queue, channels, indexes, node slots, nodes,
+// fault and ARQ tables, and the message pool.  They are deterministic, so
+// memory held after the pending work is done shows up as a changed row.
 // Every timed configuration is also checked once against the §1.2
 // specification (core::check_final_state), outside the timed event loop;
 // a failed check makes the report's "ok" false.
@@ -79,6 +84,7 @@ int main(int argc, char** argv) {
     bool completed = true;
     bool spec_ok = true;
     std::size_t channel_slots = 0;
+    std::vector<sim::memory_part> memory;
     sim::pool_detail::reset_peak_bytes();
     for (int i = 0; i < reps; ++i) {
       sim::unit_delay_scheduler sched;
@@ -91,6 +97,7 @@ int main(int argc, char** argv) {
       // Every rep is the same execution: check the first one.  The event
       // loop's own clock times the run, so the check is not in it.
       if (i == 0) {
+        memory = run.memory_parts();
         spec_ok = core::check_final_state(run, g).ok();
         channel_slots = run.net().channel_slots();
       }
@@ -116,9 +123,13 @@ int main(int argc, char** argv) {
     rep.add(j.name, static_cast<double>(j.n), best_eps, 0.0);
     t.add_row({std::to_string(j.n), j.name, std::to_string(events),
                fmt_double(wall_ms), fmt_double(best_eps)});
-    if (j.n == 100000)
+    if (j.n == 100000) {
       rep.add("channel_slots_" + std::string(j.name), static_cast<double>(j.n),
               static_cast<double>(channel_slots), 0.0);
+      for (const sim::memory_part& part : memory)
+        rep.add("mem_" + std::string(part.name) + "_" + j.name,
+                static_cast<double>(j.n), static_cast<double>(part.bytes), 0.0);
+    }
   }
   // Parallel seed sweep over the same 1k topology: total events dispatched
   // across all workers divided by sweep wall time.  On multi-core hosts this

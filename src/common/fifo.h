@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/heap.h"
+
 namespace asyncrd {
 
 template <typename T>
@@ -30,6 +32,11 @@ class fifo {
  public:
   bool empty() const noexcept { return head_ == buf_.size(); }
   std::size_t size() const noexcept { return buf_.size() - head_; }
+  /// Heap bytes the buffer holds, kept capacity included (memory
+  /// reports, common/heap.h).
+  std::size_t capacity_bytes() const noexcept {
+    return heap_bytes(buf_.capacity() * sizeof(T));
+  }
 
   void push_back(T v) { buf_.push_back(std::move(v)); }
 

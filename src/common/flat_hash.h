@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/heap.h"
+
 namespace asyncrd {
 
 class flat_u64_map {
@@ -34,6 +36,10 @@ class flat_u64_map {
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
+  /// Heap bytes the slot array holds (memory reports, common/heap.h).
+  std::size_t capacity_bytes() const noexcept {
+    return heap_bytes(slots_.capacity() * sizeof(entry));
+  }
 
   /// Pre-sizes for `n` keys without rehashing on the way there.
   void reserve(std::size_t n) {

@@ -57,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/heap.h"
 #include "common/ids.h"
 
 namespace asyncrd {
@@ -169,6 +170,11 @@ class flat_set {
   }
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
+  /// Heap bytes the buffer holds, in either form (memory reports,
+  /// common/heap.h).
+  std::size_t capacity_bytes() const noexcept {
+    return heap_bytes(std::size_t{cap_} * sizeof(std::uint32_t));
+  }
   /// Which form the set is in (tests pin the promote and demote rule).
   bool is_bitmap() const noexcept { return base_ != sorted_form; }
   /// Empties the set; the buffer stays as sorted-form capacity.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -14,6 +15,20 @@ namespace asyncrd::core {
 namespace {
 
 std::string describe(node_id v) { return "node " + std::to_string(v); }
+
+/// Property (2)'s violation text: the leader's `done` set differs from the
+/// component's.
+std::string done_mismatch(node_id lid, const std::set<node_id>& done,
+                          const std::set<node_id>& expected) {
+  std::ostringstream ss;
+  ss << "leader " << lid << " done-set mismatch: knows " << done.size()
+     << " of " << expected.size() << " ids";
+  for (const node_id v : expected)
+    if (!done.contains(v)) ss << "; missing " << v;
+  for (const node_id v : done)
+    if (!expected.contains(v)) ss << "; extraneous " << v;
+  return ss.str();
+}
 
 }  // namespace
 
@@ -55,19 +70,24 @@ check_report check_final_state(
 
     // --- property (2): the leader knows the ids of all its nodes.
     // At quiescence the explore loop has drained more/unexplored, so the
-    // leader's `done` must equal the component exactly.
-    const std::set<node_id> done(leader.done().begin(), leader.done().end());
-    const std::set<node_id> expected(comp.begin(), comp.end());
-    if (done != expected) {
-      std::ostringstream ss;
-      ss << "leader " << lid << " done-set mismatch: knows " << done.size()
-         << " of " << expected.size() << " ids";
-      for (const node_id v : expected)
-        if (!done.contains(v)) ss << "; missing " << v;
-      for (const node_id v : done)
-        if (!expected.contains(v)) ss << "; extraneous " << v;
-      fail(ss.str());
+    // leader's `done` must equal the component exactly.  `done` iterates
+    // ascending; so does a component from digraph::weak_components, and
+    // the two compare element by element.  Any other member list is sorted
+    // and deduplicated first.  The sets are built only to word a mismatch.
+    const flat_set<node_id>& done = leader.done();
+    std::vector<node_id> sorted;
+    const std::vector<node_id>* members = &comp;
+    if (std::adjacent_find(comp.begin(), comp.end(),
+                           std::greater_equal<>()) != comp.end()) {
+      sorted = comp;
+      std::sort(sorted.begin(), sorted.end());
+      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+      members = &sorted;
     }
+    if (!std::equal(done.begin(), done.end(), members->begin(),
+                    members->end()))
+      fail(done_mismatch(lid, {done.begin(), done.end()},
+                         {comp.begin(), comp.end()}));
     if (!leader.more().empty())
       fail("leader " + std::to_string(lid) + " has a non-empty more set");
     if (!leader.unaware().empty())
@@ -165,16 +185,7 @@ check_report check_membership(
     // --- property (2): the leader knows the ids of all its nodes.
     const std::set<node_id> done(leader.done.begin(), leader.done.end());
     const std::set<node_id> expected(comp.begin(), comp.end());
-    if (done != expected) {
-      std::ostringstream ss;
-      ss << "leader " << lid << " done-set mismatch: knows " << done.size()
-         << " of " << expected.size() << " ids";
-      for (const node_id v : expected)
-        if (!done.contains(v)) ss << "; missing " << v;
-      for (const node_id v : done)
-        if (!expected.contains(v)) ss << "; extraneous " << v;
-      fail(ss.str());
-    }
+    if (done != expected) fail(done_mismatch(lid, done, expected));
     if (!leader.more_empty)
       fail("leader " + std::to_string(lid) + " has a non-empty more set");
     if (!leader.unaware_empty)

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/heap.h"
 
 namespace asyncrd::core {
 
@@ -61,7 +62,8 @@ void node::wake_body(sim::context& ctx) {
     probe_queued_ = false;
     // A freshly woken node is its own leader: the census is its own view.
     const id_vec c = census_ids();
-    census_ = census_result{id_, {c.begin(), c.end()}, ctx.now()};
+    census_ = std::make_unique<census_result>(
+        census_result{id_, {c.begin(), c.end()}, ctx.now()});
   }
 }
 
@@ -283,8 +285,8 @@ void node::handle_release(sim::context& ctx, const release_msg& r,
 void node::handle_probe_reply(sim::context& ctx, const probe_reply_msg& pr,
                               const sim::message_ptr& original) {
   if (pr.requester == id_) {
-    census_ = census_result{
-        pr.leader, {pr.census.begin(), pr.census.end()}, ctx.now()};
+    census_ = std::make_unique<census_result>(census_result{
+        pr.leader, {pr.census.begin(), pr.census.end()}, ctx.now()});
     // The requester is the deepest node on the find path; compress it too.
     if (status_ == status_t::inactive && cfg_->path_compression)
       maybe_update_next(pr.leader_phase, pr.leader);
@@ -664,7 +666,8 @@ void node::initiate_probe(sim::network& net) {
     // We are the leader (or a passive ex-leader that still heads its own
     // chain): the snapshot is our own census.
     const id_vec c = census_ids();
-    census_ = census_result{id_, {c.begin(), c.end()}, ctx.now()};
+    census_ = std::make_unique<census_result>(
+        census_result{id_, {c.begin(), c.end()}, ctx.now()});
     return;
   }
   ctx.send(next_, sim::make_message<probe_msg>(id_));
@@ -743,6 +746,19 @@ std::vector<std::string> node::deferred_types() const {
   for (const auto& [from, m] : deferred_)
     out.emplace_back(m->type_name());
   return out;
+}
+
+std::size_t node::memory_bytes() const noexcept {
+  std::size_t bytes = heap_bytes(sizeof(node)) + local_.capacity_bytes() +
+                      more_.capacity_bytes() + done_.capacity_bytes() +
+                      unaware_.capacity_bytes() +
+                      unexplored_.capacity_bytes() +
+                      previous_.capacity_bytes() +
+                      heap_bytes(deferred_.capacity() * sizeof(deferred_[0]));
+  if (census_ != nullptr)
+    bytes += heap_bytes(sizeof(census_result)) +
+             heap_bytes(census_->ids.capacity() * sizeof(node_id));
+  return bytes;
 }
 
 }  // namespace asyncrd::core

@@ -22,6 +22,7 @@
 //    engine tracks awaiting_release_ explicitly.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -126,13 +127,23 @@ class node final : public sim::process {
   /// Members this leader would report: more ∪ done ∪ unaware.
   std::vector<node_id> known_members() const;
 
-  const std::optional<census_result>& last_census() const noexcept {
-    return census_;
+  /// The latest completed census, or nothing before the first.  Returned
+  /// by value: the node keeps it out of line, since only Ad-hoc probes
+  /// ever set it.
+  std::optional<census_result> last_census() const {
+    if (census_ == nullptr) return std::nullopt;
+    return *census_;
   }
   std::size_t pending_queue_depth() const noexcept { return previous_.size(); }
   bool has_deferred() const noexcept { return !deferred_.empty(); }
   /// Type names of parked messages (diagnostics; empty when none).
   std::vector<std::string> deferred_types() const;
+
+  /// Heap bytes this node holds (common/heap.h): the object plus the
+  /// buffers of its id sets, its routed-request queue, its deferred
+  /// messages' list and its census (the messages themselves live in the
+  /// message pool).
+  std::size_t memory_bytes() const noexcept;
 
  private:
   // -- state transitions ----------------------------------------------------
@@ -205,13 +216,24 @@ class node final : public sim::process {
   void learn_id(sim::context& ctx, node_id w);
   void absorb_query_reply(node_id w, const id_vec& ids, bool done_flag);
 
+  // Member order packs the object (232 bytes; tests pin the bound): the
+  // one-byte fields share a word with id_, and the census, which only
+  // Ad-hoc probes set, lives out of line.
+
   // -- identity & configuration --
   node_id id_;
+  // -- Fig 2 status, then engine flags --
+  status_t status_ = status_t::asleep;
+  /// True iff this leader has an outstanding search (WAIT awaits a release).
+  bool awaiting_release_ = false;
+  /// Probe requested before wake / while asleep — sent on wake.
+  bool probe_queued_ = false;
+  /// Re-entrancy guard for drain_deferred.
+  bool draining_ = false;
   const config* cfg_;
   std::size_t component_size_;
 
   // -- Fig 2 data structures --
-  status_t status_ = status_t::asleep;
   // All id sets are flat_sets (common/flat_set.h): sorted vectors that turn
   // into bitmaps once large and dense, as a big leader's more, done and
   // unexplored do.  Both forms iterate in std::set's ascending order, so
@@ -230,16 +252,10 @@ class node final : public sim::process {
   // -- engine bookkeeping --
   /// Target of the query currently in flight (EXPLORE), or invalid.
   node_id pending_query_ = invalid_node;
-  /// True iff this leader has an outstanding search (WAIT awaits a release).
-  bool awaiting_release_ = false;
   /// Messages the current state does not consume, in arrival order.
   std::vector<std::pair<node_id, sim::message_ptr>> deferred_;
-  /// Latest completed census (Ad-hoc probes).
-  std::optional<census_result> census_;
-  /// Probe requested before wake / while asleep — sent on wake.
-  bool probe_queued_ = false;
-  /// Re-entrancy guard for drain_deferred.
-  bool draining_ = false;
+  /// Latest completed census (Ad-hoc probes); null before the first.
+  std::unique_ptr<census_result> census_;
 };
 
 }  // namespace asyncrd::core

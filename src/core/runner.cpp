@@ -1,5 +1,6 @@
 #include "core/runner.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/bitmath.h"
@@ -85,6 +86,20 @@ std::size_t discovery_run::chain_length(node_id v, std::size_t max_hops) const {
     cur = nxt;
   }
   return hops;
+}
+
+std::vector<sim::memory_part> discovery_run::memory_parts() const {
+  std::vector<sim::memory_part> parts = net_.memory_parts();
+  std::size_t nodes = 0;
+  for (const node_id v : net_.node_ids()) nodes += at(v).memory_bytes();
+  const sim::pool_detail::pool_stats pool = sim::pool_detail::stats();
+  parts.push_back({"nodes", nodes});
+  parts.push_back({"reliable_links", rl_ ? rl_->memory_bytes() : 0});
+  parts.push_back(
+      {"pool_live", static_cast<std::size_t>(std::max<std::int64_t>(
+                        pool.live_bytes, 0))});
+  parts.push_back({"pool_cached", pool.cached_heap_bytes});
+  return parts;
 }
 
 std::vector<node_id> discovery_run::leaders() const {

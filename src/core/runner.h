@@ -94,6 +94,15 @@ class discovery_run {
 
   const sim::stats& statistics() const noexcept { return net_.statistics(); }
 
+  /// Heap bytes the run holds, part by part: the network's parts
+  /// (sim::network::memory_parts), then "nodes" (every node object with
+  /// its sets and queues), "reliable_links" (the ARQ tables, chaos mode
+  /// only) and the message pool's "pool_live" bytes (messages not yet
+  /// freed, process-wide, at their size classes) and "pool_cached" bytes
+  /// (the free blocks it keeps for reuse).  Computed from capacities on
+  /// demand; for reports.
+  std::vector<sim::memory_part> memory_parts() const;
+
   /// Current leaders (nodes in a leader state), ascending by id.
   std::vector<node_id> leaders() const;
 

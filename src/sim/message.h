@@ -99,6 +99,11 @@ struct pool_stats {
   std::size_t thread_cached_blocks = 0;
   std::size_t thread_cached_bytes = 0;
   std::size_t global_cached_blocks = 0;
+  /// Heap bytes of every free block the pool keeps, the calling thread's
+  /// cache and the reclaim list together, each block counted as the
+  /// allocator holds it (common/heap.h): what memory reports charge the
+  /// pool beyond its live blocks.
+  std::size_t cached_heap_bytes = 0;
   std::uint64_t reclaim_donations = 0;  ///< blocks spilled thread -> global
   std::uint64_t reclaim_grabs = 0;      ///< blocks refilled global -> thread
   /// Bytes currently resident in live pool blocks (allocated minus freed,

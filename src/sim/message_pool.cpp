@@ -25,6 +25,8 @@
 #include <new>
 #include <vector>
 
+#include "common/heap.h"
+
 namespace asyncrd::sim::pool_detail {
 
 namespace {
@@ -246,11 +248,16 @@ void trim_global() noexcept {
 pool_stats stats() noexcept {
   pool_stats s;
   free_lists& fl = local();
-  for (const auto& list : fl.cls) s.thread_cached_blocks += list.size();
+  for (std::size_t ci = 0; ci < class_count; ++ci) {
+    s.thread_cached_blocks += fl.cls[ci].size();
+    s.cached_heap_bytes += fl.cls[ci].size() * heap_bytes(class_bytes(ci));
+  }
   s.thread_cached_bytes = fl.bytes;
   try {
     global_pool& g = global();
     const std::lock_guard<std::mutex> lock(g.mu);
+    for (std::size_t ci = 0; ci < class_count; ++ci)
+      s.cached_heap_bytes += g.cls[ci].size() * heap_bytes(class_bytes(ci));
     s.global_cached_blocks = g.blocks;
     s.reclaim_donations = g.donations;
     s.reclaim_grabs = g.grabs;

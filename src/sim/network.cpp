@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/bitmath.h"
+#include "common/heap.h"
 
 namespace asyncrd::sim {
 
@@ -83,10 +84,7 @@ void context::send(node_id to, message_ptr m) {
   net_->send_internal(self_, to, std::move(m));
 }
 
-void network::reserve_nodes(std::size_t n) {
-  slots_.reserve(n);
-  node_index_.reserve(n);
-}
+void network::reserve_nodes(std::size_t n) { slots_.reserve(n); }
 
 void network::add_node(node_id id, std::unique_ptr<process> p) {
   assert(p != nullptr);
@@ -95,7 +93,28 @@ void network::add_node(node_id id, std::unique_ptr<process> p) {
   slots_.emplace_back();
   slots_.back().proc = std::move(p);
   slots_.back().id = id;
-  node_index_.insert(id, idx);
+  // index_of finds an id that equals its slot index without the map.
+  if (id != idx) node_index_.insert(id, idx);
+}
+
+std::vector<memory_part> network::memory_parts() const {
+  std::size_t channels =
+      heap_bytes(channels_.capacity() * sizeof(channel)) +
+      heap_bytes(free_channels_.capacity() * sizeof(std::uint32_t));
+  for (const channel& ch : channels_) channels += ch.queue.capacity_bytes();
+  std::size_t slots = heap_bytes(slots_.capacity() * sizeof(node_slot));
+  for (const node_slot& slot : slots_)
+    slots += heap_bytes(slot.held.capacity() * sizeof(std::uint32_t));
+  return {
+      {"queue_buckets", events_.bucket_bytes()},
+      {"queue_overflow", events_.overflow_bytes()},
+      {"channels", channels},
+      {"channel_index", channel_index_.capacity_bytes()},
+      {"node_index", node_index_.capacity_bytes()},
+      {"node_slots", slots},
+      {"fault_streams", fault_index_.capacity_bytes() +
+                            heap_bytes(fault_rngs_.capacity() * sizeof(rng))},
+  };
 }
 
 std::vector<node_id> network::node_ids() const {

@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -235,6 +236,15 @@ class health_probe {
   virtual sim_time on_probe(network& net) = 0;
 };
 
+/// One holder of a run's memory (network::memory_parts,
+/// core::discovery_run::memory_parts): the heap bytes its buffers hold,
+/// from capacities times element sizes, each buffer rounded as the
+/// allocator rounds it (common/heap.h).
+struct memory_part {
+  std::string_view name;
+  std::size_t bytes = 0;
+};
+
 /// Result of network::run.
 struct run_result {
   std::uint64_t events_processed = 0;
@@ -259,9 +269,9 @@ class network : public transport {
   /// node additions, §6); a node added mid-run still needs wake().
   void add_node(node_id id, std::unique_ptr<process> p);
 
-  /// Pre-sizes the dense node table (and its id -> index map) for `n`
-  /// nodes.  discovery_run calls this with the graph size before the
-  /// add_node loop; purely an optimization.
+  /// Pre-sizes the dense node table for `n` nodes.  discovery_run calls
+  /// this with the graph size before the add_node loop; purely an
+  /// optimization.
   void reserve_nodes(std::size_t n);
 
   std::size_t node_count() const noexcept { return slots_.size(); }
@@ -472,6 +482,14 @@ class network : public transport {
   std::size_t channel_slots() const noexcept { return channels_.size(); }
   std::size_t live_channels() const noexcept { return channel_index_.size(); }
 
+  /// Heap bytes the network's structures hold, part by part: the queue's
+  /// buckets and far-future heap, the channel slab with its FIFO buffers,
+  /// the channel and node indexes, the node slots (with blocked senders'
+  /// held lists) and the fault-stream tables.  The processes the slots own
+  /// are not included.  Walks the queue and the slab: for reports, not for
+  /// the hot path.
+  std::vector<memory_part> memory_parts() const;
+
   static constexpr std::uint64_t default_event_cap = 500'000'000;
 
  private:
@@ -543,9 +561,9 @@ class network : public transport {
     std::vector<std::uint32_t> held;
   };
 
-  /// Slot index for an id; npos if unregistered.  Fast path: the dense case
-  /// (ids are exactly 0..n-1, as discovery_run builds them) needs no hash
-  /// probe at all.
+  /// Slot index for an id; npos if unregistered.  An id equal to its slot
+  /// index (every id when they are exactly 0..n-1, as discovery_run builds
+  /// them) is found by array indexing; only the others are in node_index_.
   std::uint32_t index_of(node_id id) const noexcept {
     if (id < slots_.size() && slots_[id].id == id) return id;
     return node_index_.find(id);
@@ -628,7 +646,7 @@ class network : public transport {
 
   scheduler* sched_;
   std::vector<node_slot> slots_;
-  flat_u64_map node_index_;     ///< id -> slot index
+  flat_u64_map node_index_;     ///< id -> slot index, for id != index only
   std::vector<channel> channels_;              ///< slab of channel records
   std::vector<std::uint32_t> free_channels_;  ///< retired slots, LIFO
   flat_u64_map channel_index_;  ///< pack(from, to) indices -> live channel

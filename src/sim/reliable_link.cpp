@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/heap.h"
+
 namespace asyncrd::sim {
 
 namespace {
@@ -14,6 +16,21 @@ bool reliable_link_layer::all_acked() const noexcept {
   for (const sender_state& s : senders_)
     if (!s.unacked.empty()) return false;
   return true;
+}
+
+std::size_t reliable_link_layer::memory_bytes() const noexcept {
+  // A std::map node is its value plus four words of tree links and colour.
+  constexpr std::size_t map_node = heap_bytes(
+      sizeof(std::pair<const std::uint64_t, message_ptr>) + 4 * sizeof(void*));
+  std::size_t bytes = sender_index_.capacity_bytes() +
+                      receiver_index_.capacity_bytes() +
+                      heap_bytes(senders_.capacity() * sizeof(sender_state)) +
+                      heap_bytes(receivers_.capacity() * sizeof(receiver_state));
+  for (const sender_state& s : senders_)
+    bytes += heap_bytes(s.unacked.capacity() * sizeof(message_ptr));
+  for (const receiver_state& r : receivers_)
+    bytes += r.buffer.size() * map_node;
+  return bytes;
 }
 
 reliable_link_layer::sender_state& reliable_link_layer::sender_for(

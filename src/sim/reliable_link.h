@@ -134,6 +134,12 @@ class reliable_link_layer final : public link_adapter {
   /// outstanding ranges).  Incrementally maintained like outstanding().
   std::uint64_t backlogged_channels() const noexcept { return backlogged_; }
 
+  /// Heap bytes the per-channel tables hold (common/heap.h): both
+  /// indexes, the sender and receiver records, the unacked windows and the
+  /// out-of-order buffers (the envelopes themselves live in the message
+  /// pool).  For reports.
+  std::size_t memory_bytes() const noexcept;
+
   // link_adapter interface (called by the network).
   void app_send(node_id from, node_id to, message_ptr m) override;
   void transport_deliver(node_id from, node_id to,

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/heap.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "sim/message.h"
@@ -61,6 +62,18 @@ struct run_timing {
 // when the window slides — before any new push can target the freed range —
 // so appended order *is* seq order.
 //
+// Memory follows pending events: a bucket frees its buffer the moment its
+// last event pops, so the ring holds buffers only for ticks with events
+// still to dispatch.  A cleared bucket would keep the capacity of the
+// largest tick it ever held, and over a run every bucket holds some large
+// tick: on a 40k-node Generic run that is 23 MB of buffers against a peak
+// depth of 39,999 events (1.3 MB).  A buffer of at most kept_events events
+// stays with its bucket: ticks of a few events (service mode's) would
+// otherwise allocate and free one every tick, and that churn raised the
+// UDP service workload's peak RSS by about 0.2 MiB.  Kept buffers cost
+// the ring at most one small buffer per bucket (576 KiB for the network's
+// 4,096 buckets of 32-byte events), however large its ticks were.
+//
 // Event must expose `.at` (sim_time) and `.seq` (uint64_t); After is the
 // strict-weak ordering of a max-heap on (at, seq) reversed, i.e. the usual
 // priority_queue comparator for a min-queue.
@@ -77,6 +90,20 @@ class calendar_queue {
 
   /// Events currently parked in the far-future heap (telemetry/tests).
   std::size_t overflowed() const noexcept { return overflow_.size(); }
+
+  /// Heap bytes the ring holds (common/heap.h): the bucket array plus
+  /// each bucket's buffer.  Walks every bucket, so it is for reports, not
+  /// the hot path.
+  std::size_t bucket_bytes() const noexcept {
+    std::size_t bytes = heap_bytes(buckets_.capacity() * sizeof(bucket));
+    for (const bucket& b : buckets_)
+      bytes += heap_bytes(b.events.capacity() * sizeof(Event));
+    return bytes;
+  }
+  /// Heap bytes the far-future heap's buffer holds.
+  std::size_t overflow_bytes() const noexcept {
+    return heap_bytes(overflow_.capacity() * sizeof(Event));
+  }
 
   void push(Event ev) {
     // A past-time event is corruption, not a tolerable slip: `at & mask_`
@@ -102,7 +129,10 @@ class calendar_queue {
     bucket& b = settle();
     const Event ev = b.events[b.head++];
     if (b.head == b.events.size()) {
-      b.events.clear();
+      if (b.events.capacity() > kept_events)
+        std::vector<Event>().swap(b.events);  // drained: free the buffer
+      else
+        b.events.clear();
       b.head = 0;
     }
     --in_ring_;
@@ -115,6 +145,8 @@ class calendar_queue {
     std::vector<Event> events;
     std::size_t head = 0;  ///< first not-yet-popped element
   };
+  /// The largest buffer, in events, a drained bucket keeps.
+  static constexpr std::size_t kept_events = 4;
 
   /// Positions base_ on the earliest non-empty tick and returns its bucket.
   /// Precondition: size_ > 0.
@@ -125,9 +157,7 @@ class calendar_queue {
       migrate();
     }
     bucket* b = &buckets_[base_ & mask_];
-    while (b->head >= b->events.size()) {
-      b->events.clear();
-      b->head = 0;
+    while (b->events.empty()) {
       ++base_;
       migrate();  // window slid: the freed tick may pull heap events in
       b = &buckets_[base_ & mask_];
@@ -151,7 +181,11 @@ class calendar_queue {
   sim_time base_ = 0;         ///< earliest time the ring can hold
   std::size_t in_ring_ = 0;   ///< events resident in buckets
   std::size_t size_ = 0;      ///< total events (ring + heap)
-  std::priority_queue<Event, std::vector<Event>, After> overflow_;
+  /// The far-future heap; a priority_queue that reports its capacity.
+  struct heap : std::priority_queue<Event, std::vector<Event>, After> {
+    std::size_t capacity() const noexcept { return this->c.capacity(); }
+  };
+  heap overflow_;
 };
 
 /// Chooses per-message delivery delays and reacts to quiescence.

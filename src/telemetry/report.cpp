@@ -1,8 +1,20 @@
 #include "telemetry/report.h"
 
+#include <cstdlib>
+#include <fstream>
+
 #include "telemetry/json.h"
 
 namespace asyncrd::telemetry {
+
+std::uint64_t peak_rss_bytes() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("VmHWM:", 0) == 0)  // "VmHWM:  <n> kB"
+      return std::strtoull(line.c_str() + 6, nullptr, 10) * 1024;
+  return 0;
+}
 
 void run_report::write_json(json_writer& w) const {
   w.begin_object();
@@ -275,6 +287,10 @@ run_report run_recorder::report(const sim::run_result& result) const {
       static_cast<double>(run_->net().channel_opens());
   rep.extra["net.channel_slots"] =
       static_cast<double>(run_->net().channel_slots());
+  for (const sim::memory_part& part : run_->memory_parts())
+    rep.extra["mem." + std::string(part.name) + "_bytes"] =
+        static_cast<double>(part.bytes);
+  rep.extra["mem.peak_rss_bytes"] = static_cast<double>(peak_rss_bytes());
   if (sampler_ != nullptr) {
     rep.series.interval = sampler_->interval();
     const series_frame& f = sampler_->frame();

@@ -191,6 +191,10 @@ run_report collect_run_report(const core::discovery_run& run,
                               const core::transition_recorder* transitions =
                                   nullptr);
 
+/// Peak resident set size of this process in bytes (VmHWM in
+/// /proc/self/status), or 0 where that file is not available.
+std::uint64_t peak_rss_bytes();
+
 /// Runtime-health arming knobs for run_recorder.  Defaults keep everything
 /// off, preserving the recorder's zero-surprise cost profile; benches and
 /// the CLI opt in per flag.
@@ -211,8 +215,10 @@ struct recorder_options {
 /// Arms a load observer, a transition recorder, and a metrics registry on a
 /// discovery_run in one shot (as network observers) — plus, when the
 /// options ask for them, the series sampler, stall watchdog, flight
-/// recorder and profiler — and builds the report afterwards.  Detaches
-/// everything on destruction.
+/// recorder and profiler — and builds the report afterwards.  The report's
+/// `extra` block carries the run's memory at report time, one
+/// `mem.<part>_bytes` per discovery_run::memory_parts entry, and the
+/// process's `mem.peak_rss_bytes`.  Detaches everything on destruction.
 class run_recorder {
  public:
   explicit run_recorder(core::discovery_run& run, recorder_options opts = {});

@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/heap.h"
 #include "common/rng.h"
 #include "sim/scheduler.h"
 
@@ -118,6 +119,32 @@ TEST(CalendarQueue, WindowSlideMigratesHeapEventsBeforeTheirTick) {
   EXPECT_EQ(q.pop().at, 9u);
   EXPECT_EQ(q.pop().at, 20u);
   EXPECT_TRUE(q.empty());
+}
+
+// A drained bucket frees its buffer: once a 10k-event burst at one tick
+// has popped, the queue holds only its bucket array, as when it was new.
+// (Clearing instead kept each bucket at the largest tick it ever held.)
+TEST(CalendarQueue, DrainedBucketHoldsNoBuffer) {
+  queue_t q;
+  const std::size_t bucket_array = q.bucket_bytes();
+  for (std::uint64_t s = 0; s < 10'000; ++s) q.push({7, s});
+  EXPECT_GE(q.bucket_bytes(), bucket_array + 10'000 * sizeof(ev));
+  for (std::uint64_t s = 0; s < 10'000; ++s) EXPECT_EQ(q.pop().seq, s);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.bucket_bytes(), bucket_array);
+  EXPECT_EQ(q.overflow_bytes(), 0u);
+}
+
+// A tick of a few events keeps its small buffer when it drains, so ticks
+// of a handful of events do not allocate one each; the ring keeps at most
+// one such buffer per bucket.
+TEST(CalendarQueue, DrainedTinyBucketKeepsItsBuffer) {
+  queue_t q;
+  const std::size_t bucket_array = q.bucket_bytes();
+  for (std::uint64_t s = 0; s < 3; ++s) q.push({7, s});
+  while (!q.empty()) q.pop();
+  EXPECT_GT(q.bucket_bytes(), bucket_array);
+  EXPECT_LE(q.bucket_bytes(), bucket_array + heap_bytes(4 * sizeof(ev)));
 }
 
 // Regression: push() used to *assert* (compiled away under NDEBUG) that an

@@ -38,6 +38,42 @@ TEST(Checker, FlagsMultipleLeaders) {
   EXPECT_NE(rep.to_string().find("2 leaders"), std::string::npos);
 }
 
+// Property (2)'s violation text, pinned: a settled run checked against a
+// deliberately wrong component list (one member of each component swapped
+// for one of the other) names each missing and each extraneous id.  The
+// member list may come unsorted and with repeats; the done-set verdict
+// takes it as a set, while the per-member checks visit every entry.
+TEST(Checker, DoneSetMismatchNamesMissingAndExtraneousIds) {
+  graph::digraph g;
+  for (node_id v = 0; v < 5; ++v) g.add_node(v);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(3, 4);
+  sim::unit_delay_scheduler sched;
+  core::config cfg;
+  core::discovery_run run(g, cfg, sched);
+  run.wake_all();
+  run.run();
+  ASSERT_TRUE(core::check_final_state(run, g).ok());
+  ASSERT_EQ(run.leaders(), (std::vector<node_id>{2, 4}));
+  const std::string expected =
+      "leader 2 done-set mismatch: knows 3 of 3 ids; missing 3; extraneous 0\n"
+      "node 3 next = 4 but leader is 2\n"
+      "leader 4 done-set mismatch: knows 2 of 2 ids; missing 0; extraneous 3\n"
+      "node 0 next = 2 but leader is 4\n";
+  EXPECT_EQ(core::check_final_state(run, {{1, 2, 3}, {0, 4}}).to_string(),
+            expected);
+  EXPECT_EQ(core::check_final_state(run, {{3, 2, 1}, {4, 0}}).to_string(),
+            expected);
+  EXPECT_EQ(
+      core::check_final_state(run, {{3, 1, 2, 3}, {0, 4}}).to_string(),
+      "leader 2 done-set mismatch: knows 3 of 3 ids; missing 3; extraneous 0\n"
+      "node 3 next = 4 but leader is 2\n"
+      "node 3 next = 4 but leader is 2\n"
+      "leader 4 done-set mismatch: knows 2 of 2 ids; missing 0; extraneous 3\n"
+      "node 0 next = 2 but leader is 4\n");
+}
+
 TEST(Checker, AcceptsHonestRun) {
   const auto g = graph::random_weakly_connected(20, 20, 6);
   sim::unit_delay_scheduler sched;

@@ -633,6 +633,62 @@ TEST(Network, BlockSenderThrowsWhileAnyChannelIsLive) {
   EXPECT_TRUE(net.is_blocked(1));
 }
 
+// ------------------------------------------------------------- node index
+
+// An id equal to its slot index is found by array indexing and never enters
+// the id -> slot map; the map holds only the other ids.  Lookups, the
+// duplicate check and delivery must work the same for both kinds.
+TEST(Network, MixedDenseAndSparseIdsResolve) {
+  sim::unit_delay_scheduler sched;
+  sim::network net(sched);
+  const auto node_index_bytes = [&net] {
+    for (const sim::memory_part& p : net.memory_parts())
+      if (p.name == "node_index") return p.bytes;
+    return ~std::size_t{0};
+  };
+  // Slots 0..4 hold ids 0, 1, 1000, 2, 4: ids 1000 and 2 differ from
+  // their slots, and id 4 lands on slot 4 after them.
+  const std::vector<node_id> by_slot{0, 1, 1000, 2, 4};
+  std::vector<recorder_process*> recs;
+  for (const node_id v : by_slot) {
+    auto rec = std::make_unique<recorder_process>();
+    recs.push_back(rec.get());
+    net.add_node(v, std::move(rec));
+    if (v == 1) {
+      EXPECT_EQ(node_index_bytes(), 0u);  // dense so far
+    }
+  }
+  EXPECT_GT(node_index_bytes(), 0u);
+  for (std::size_t i = 0; i < by_slot.size(); ++i) {
+    EXPECT_TRUE(net.has_node(by_slot[i])) << by_slot[i];
+    EXPECT_EQ(net.find(by_slot[i]), recs[i]) << by_slot[i];
+  }
+  for (const node_id absent : {3u, 5u, 999u, 1001u})
+    EXPECT_FALSE(net.has_node(absent)) << absent;
+  for (const node_id dup : {0u, 1000u, 2u, 4u})
+    EXPECT_THROW(net.add_node(dup, std::make_unique<recorder_process>()),
+                 std::invalid_argument)
+        << dup;
+  const std::vector<node_id> ids{0, 1, 2, 4, 1000};
+  EXPECT_EQ(net.node_ids(), ids);
+
+  // Dense -> sparse, sparse -> sparse and sparse -> dense sends.
+  sim::context from0(net, 0);
+  sim::context from1000(net, 1000);
+  from0.send(1000, sim::make_message<tag_msg>(1));
+  from1000.send(2, sim::make_message<tag_msg>(2));
+  from1000.send(4, sim::make_message<tag_msg>(3));
+  net.run();
+  const std::vector<std::pair<node_id, int>> at1000{{0, 1}};
+  const std::vector<std::pair<node_id, int>> at2{{1000, 2}};
+  const std::vector<std::pair<node_id, int>> at4{{1000, 3}};
+  EXPECT_EQ(recs[2]->received, at1000);
+  EXPECT_EQ(recs[3]->received, at2);
+  EXPECT_EQ(recs[4]->received, at4);
+  EXPECT_TRUE(net.is_awake(1000));
+  EXPECT_FALSE(net.is_awake(1));
+}
+
 // ------------------------------------------------------------- chaos faults
 
 TEST(ChaosTransport, FullDropLosesEverythingAndCounts) {

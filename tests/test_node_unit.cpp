@@ -12,6 +12,11 @@ namespace {
 
 using core::status_t;
 
+// A run holds one node object per vertex, so the object's size is a per-node
+// floor on memory: the one-byte fields share a word with the id and the
+// census lives out of line.
+TEST(NodeUnit, ObjectFitsIn232Bytes) { EXPECT_LE(sizeof(core::node), 232u); }
+
 TEST(NodeUnit, InitialStateMatchesFigure2) {
   core::config cfg;
   core::node n(5, cfg, {1, 2, 3});

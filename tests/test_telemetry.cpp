@@ -1,6 +1,7 @@
 // Telemetry subsystem: histogram buckets and quantiles, the JSON
 // writer/parser pair, the network's observer fan-out, the metrics
-// registry, and run_report determinism on a fixed seed/topology.
+// registry, run_report determinism on a fixed seed/topology, and the run's
+// memory parts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,16 @@
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/report.h"
+
+// glibc's in-use counters are the ground truth the memory parts are checked
+// against; a sanitizer's allocator bypasses them.
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#if __GLIBC_PREREQ(2, 33)
+#include <malloc.h>
+#define ASYNCRD_GLIBC_IN_USE 1
+#endif
+#endif
 
 namespace asyncrd {
 namespace {
@@ -475,7 +486,7 @@ TEST(RunReport, JsonHasRequiredKeysAndParses) {
 }
 
 /// Golden determinism: identical seed/topology => identical report JSON,
-/// modulo the host-clock fields.
+/// modulo the host-clock fields and peak RSS.
 TEST(RunReport, DeterministicAcrossRunsUpToWallClock) {
   const auto once = [] {
     const auto g = graph::random_weakly_connected(30, 45, 9);
@@ -489,9 +500,11 @@ TEST(RunReport, DeterministicAcrossRunsUpToWallClock) {
     rep.variant = "generic";
     rep.seed = 9;
     rep.edges = g.edge_count();
-    // Host timing differs run to run; zero it before comparing.
+    // Host timing and the process's peak RSS differ run to run; drop them
+    // before comparing.
     rep.wall_ms = 0.0;
     rep.events_per_sec = 0.0;
+    rep.extra.erase("mem.peak_rss_bytes");
     return rep.to_json();
   };
   const std::string a = once();
@@ -516,6 +529,81 @@ TEST(RunRecorder, DetachesOnDestruction) {
   run.net().wake(0);
   run.net().run_to_quiescence();
   SUCCEED();
+}
+
+// ---------------------------------------------------------------- run memory
+
+// The report's extra block carries every memory part at report time as
+// mem.<part>_bytes, plus the process's peak RSS.
+TEST(RunRecorder, ReportsEveryMemoryPart) {
+  const auto g = graph::random_weakly_connected(300, 450, 4);
+  sim::random_delay_scheduler sched(4);
+  core::discovery_run run(g, core::config{}, sched);
+  sim::fault_plan plan;
+  plan.drop = 0.1;
+  plan.seed = 4;
+  run.enable_chaos(plan);
+  telemetry::run_recorder rec(run);
+  run.wake_all();
+  const telemetry::run_report rep = rec.report(run.run());
+  ASSERT_TRUE(rep.completed);
+  const std::vector<std::string> names{
+      "queue_buckets", "queue_overflow", "channels",      "channel_index",
+      "node_index",    "node_slots",     "fault_streams", "nodes",
+      "reliable_links", "pool_live",     "pool_cached"};
+  const std::vector<sim::memory_part> parts = run.memory_parts();
+  ASSERT_EQ(parts.size(), names.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ(parts[i].name, names[i]);
+    const auto it = rep.extra.find("mem." + names[i] + "_bytes");
+    ASSERT_NE(it, rep.extra.end()) << names[i];
+    EXPECT_EQ(it->second, static_cast<double>(parts[i].bytes)) << names[i];
+  }
+  // Dense ids need no node index; everything a chaos run builds is held.
+  EXPECT_EQ(rep.extra.at("mem.node_index_bytes"), 0.0);
+  for (const char* held : {"queue_buckets", "channels", "node_slots",
+                           "fault_streams", "nodes", "reliable_links"})
+    EXPECT_GT(rep.extra.at("mem." + std::string(held) + "_bytes"), 0.0)
+        << held;
+  ASSERT_TRUE(rep.extra.contains("mem.peak_rss_bytes"));
+#ifdef __linux__
+  EXPECT_GT(rep.extra.at("mem.peak_rss_bytes"), 0.0);
+#endif
+}
+
+// The parts account for what a run allocates: on the 40k-node Generic run
+// (the perfbench giant_component graph) their sum at the end is within 10%
+// of the growth of glibc's in-use bytes over building and running it.
+// Peak RSS would not do as the reference: it also counts memory glibc has
+// freed but kept.
+TEST(RunMemory, PartsMatchMallocInUseGrowthOn40kGeneric) {
+#ifndef ASYNCRD_GLIBC_IN_USE
+  GTEST_SKIP() << "needs glibc's own allocator (2.33 or later)";
+#else
+  const auto in_use = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+  };
+  const auto g = graph::random_weakly_connected(40000, 80000, 1);
+  // Start the pool empty, so its cached blocks are this run's.
+  sim::pool_detail::trim();
+  sim::pool_detail::trim_global();
+  const std::size_t before = in_use();
+  sim::unit_delay_scheduler sched;
+  core::discovery_run run(g, core::config{}, sched);
+  run.wake_all();
+  ASSERT_TRUE(run.run().completed);
+  const double growth = static_cast<double>(in_use() - before);
+  double sum = 0.0;
+  std::string table;
+  for (const sim::memory_part& p : run.memory_parts()) {
+    sum += static_cast<double>(p.bytes);
+    table += " " + std::string(p.name) + "=" + std::to_string(p.bytes);
+  }
+  EXPECT_GT(growth, 10e6);
+  EXPECT_NEAR(sum / growth, 1.0, 0.10)
+      << "parts " << sum << " vs in-use growth " << growth << ":" << table;
+#endif
 }
 
 }  // namespace
