@@ -20,6 +20,9 @@
 // memory_parts): the event queue, channels, indexes, node slots, nodes,
 // fault and ARQ tables, and the message pool.  They are deterministic, so
 // memory held after the pending work is done shows up as a changed row.
+// Each configuration starts with the message pool empty (trimmed outside
+// the timed loop), so its pool rows count that run's blocks, not the
+// largest any earlier configuration cached.
 // Every timed configuration is also checked once against the §1.2
 // specification (core::check_final_state), outside the timed event loop;
 // a failed check makes the report's "ok" false.
@@ -85,6 +88,8 @@ int main(int argc, char** argv) {
     bool spec_ok = true;
     std::size_t channel_slots = 0;
     std::vector<sim::memory_part> memory;
+    sim::pool_detail::trim();
+    sim::pool_detail::trim_global();
     sim::pool_detail::reset_peak_bytes();
     for (int i = 0; i < reps; ++i) {
       sim::unit_delay_scheduler sched;

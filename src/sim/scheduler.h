@@ -67,12 +67,7 @@ struct run_timing {
 // still to dispatch.  A cleared bucket would keep the capacity of the
 // largest tick it ever held, and over a run every bucket holds some large
 // tick: on a 40k-node Generic run that is 23 MB of buffers against a peak
-// depth of 39,999 events (1.3 MB).  A buffer of at most kept_events events
-// stays with its bucket: ticks of a few events (service mode's) would
-// otherwise allocate and free one every tick, and that churn raised the
-// UDP service workload's peak RSS by about 0.2 MiB.  Kept buffers cost
-// the ring at most one small buffer per bucket (576 KiB for the network's
-// 4,096 buckets of 32-byte events), however large its ticks were.
+// depth of 39,999 events (1.3 MB).
 //
 // Event must expose `.at` (sim_time) and `.seq` (uint64_t); After is the
 // strict-weak ordering of a max-heap on (at, seq) reversed, i.e. the usual
@@ -129,10 +124,7 @@ class calendar_queue {
     bucket& b = settle();
     const Event ev = b.events[b.head++];
     if (b.head == b.events.size()) {
-      if (b.events.capacity() > kept_events)
-        std::vector<Event>().swap(b.events);  // drained: free the buffer
-      else
-        b.events.clear();
+      std::vector<Event>().swap(b.events);  // drained: free the buffer
       b.head = 0;
     }
     --in_ring_;
@@ -145,8 +137,6 @@ class calendar_queue {
     std::vector<Event> events;
     std::size_t head = 0;  ///< first not-yet-popped element
   };
-  /// The largest buffer, in events, a drained bucket keeps.
-  static constexpr std::size_t kept_events = 4;
 
   /// Positions base_ on the earliest non-empty tick and returns its bucket.
   /// Precondition: size_ > 0.

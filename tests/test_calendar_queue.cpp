@@ -9,7 +9,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/heap.h"
 #include "common/rng.h"
 #include "sim/scheduler.h"
 
@@ -133,18 +132,6 @@ TEST(CalendarQueue, DrainedBucketHoldsNoBuffer) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.bucket_bytes(), bucket_array);
   EXPECT_EQ(q.overflow_bytes(), 0u);
-}
-
-// A tick of a few events keeps its small buffer when it drains, so ticks
-// of a handful of events do not allocate one each; the ring keeps at most
-// one such buffer per bucket.
-TEST(CalendarQueue, DrainedTinyBucketKeepsItsBuffer) {
-  queue_t q;
-  const std::size_t bucket_array = q.bucket_bytes();
-  for (std::uint64_t s = 0; s < 3; ++s) q.push({7, s});
-  while (!q.empty()) q.pop();
-  EXPECT_GT(q.bucket_bytes(), bucket_array);
-  EXPECT_LE(q.bucket_bytes(), bucket_array + heap_bytes(4 * sizeof(ev)));
 }
 
 // Regression: push() used to *assert* (compiled away under NDEBUG) that an
