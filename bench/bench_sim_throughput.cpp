@@ -18,11 +18,12 @@
 // The mem_<part>_<variant> rows record, per variant at 100k, the heap bytes
 // each part of the run holds when it ends (core::discovery_run::
 // memory_parts): the event queue, channels, indexes, node slots, nodes,
-// fault and ARQ tables, and the message pool.  They are deterministic, so
-// memory held after the pending work is done shows up as a changed row.
-// Each configuration starts with the message pool empty (trimmed outside
-// the timed loop), so its pool rows count that run's blocks, not the
-// largest any earlier configuration cached.
+// fault and ARQ tables, and the message bytes still live.  They are
+// deterministic, so memory held after the pending work is done shows up as
+// a changed row.
+// The pool_peak_bytes_<variant>_<n> notes record the most message bytes
+// (messages and their id vectors, sim::pool_detail::stats) live at once
+// during each configuration's reps.
 // Every timed configuration is also checked once against the §1.2
 // specification (core::check_final_state), outside the timed event loop;
 // a failed check makes the report's "ok" false.
@@ -35,7 +36,6 @@
 #include "core/runner.h"
 #include "graph/topology.h"
 #include "sim/sweep.h"
-#include "telemetry/metrics.h"
 
 namespace {
 
@@ -74,11 +74,7 @@ int main(int argc, char** argv) {
   // Each configuration is a deterministic execution (same events every
   // rep); only host scheduling varies the wall clock.  Best-of-N is the
   // standard way to measure the code rather than the host's noise floor.
-  // Message-pool peak occupancy (messages and their pooled id vectors) is
-  // recorded per configuration through the same registry gauge the run
-  // reports use (telemetry::record_pool).
   constexpr int reps = 3;
-  telemetry::registry pool_reg;
   for (const job& j : jobs) {
     const auto g = graph::random_weakly_connected(j.n, j.n, 42);
     double best_eps = 0.0;
@@ -88,8 +84,6 @@ int main(int argc, char** argv) {
     bool spec_ok = true;
     std::size_t channel_slots = 0;
     std::vector<sim::memory_part> memory;
-    sim::pool_detail::trim();
-    sim::pool_detail::trim_global();
     sim::pool_detail::reset_peak_bytes();
     for (int i = 0; i < reps; ++i) {
       sim::unit_delay_scheduler sched;
@@ -121,10 +115,8 @@ int main(int argc, char** argv) {
       headline = best_eps;
     const std::string label =
         std::string(j.name) + "_" + std::to_string(j.n);
-    telemetry::record_pool(pool_reg, "pool." + label,
-                           sim::pool_detail::stats());
     rep.note("pool_peak_bytes_" + label,
-             pool_reg.get_gauge("pool." + label + ".peak_bytes").value());
+             static_cast<double>(sim::pool_detail::stats().peak_bytes));
     rep.add(j.name, static_cast<double>(j.n), best_eps, 0.0);
     t.add_row({std::to_string(j.n), j.name, std::to_string(events),
                fmt_double(wall_ms), fmt_double(best_eps)});

@@ -17,9 +17,9 @@ namespace asyncrd::core {
 /// Phase counter.  Grows like a union-by-rank rank: never exceeds log2 n.
 using phase_t = std::uint32_t;
 
-/// Id-set payload storage.  Pool-allocated, so id sets count in the message
-/// pool's byte accounting (sim::pool_detail::stats) like the messages that
-/// carry them.
+/// Id-set payload storage.  Allocated through sim::pool_allocator, so id
+/// sets count in the message byte gauges (sim::pool_detail::stats) like the
+/// messages that carry them.
 using id_vec = std::vector<node_id, sim::pool_allocator<node_id>>;
 
 /// Dispatch tags for the core vocabulary (sim::message::dispatch_tag).

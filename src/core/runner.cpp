@@ -92,13 +92,11 @@ std::vector<sim::memory_part> discovery_run::memory_parts() const {
   std::vector<sim::memory_part> parts = net_.memory_parts();
   std::size_t nodes = 0;
   for (const node_id v : net_.node_ids()) nodes += at(v).memory_bytes();
-  const sim::pool_detail::pool_stats pool = sim::pool_detail::stats();
   parts.push_back({"nodes", nodes});
   parts.push_back({"reliable_links", rl_ ? rl_->memory_bytes() : 0});
   parts.push_back(
       {"pool_live", static_cast<std::size_t>(std::max<std::int64_t>(
-                        pool.live_bytes, 0))});
-  parts.push_back({"pool_cached", pool.cached_heap_bytes});
+                        sim::pool_detail::stats().live_bytes, 0))});
   return parts;
 }
 

@@ -97,9 +97,8 @@ class discovery_run {
   /// Heap bytes the run holds, part by part: the network's parts
   /// (sim::network::memory_parts), then "nodes" (every node object with
   /// its sets and queues), "reliable_links" (the ARQ tables, chaos mode
-  /// only) and the message pool's "pool_live" bytes (messages not yet
-  /// freed, process-wide, at their size classes) and "pool_cached" bytes
-  /// (the free blocks it keeps for reuse).  Computed from capacities on
+  /// only) and "pool_live" (message bytes allocated and not yet freed,
+  /// process-wide, sim::pool_detail::stats).  Computed from capacities on
   /// demand; for reports.
   std::vector<sim::memory_part> memory_parts() const;
 

@@ -59,55 +59,28 @@ class message {
 
 using message_ptr = std::shared_ptr<const message>;
 
-// --- pooled message allocation --------------------------------------------
+// --- counted message allocation ------------------------------------------
 //
-// One heap allocation per send used to dominate the simulator's hot path
-// (make_shared -> operator new for every message).  make_message now routes
-// through a size-classed free-list pool: allocate_shared places control
-// block and payload in one block, and freed blocks are recycled instead of
-// returned to the heap.  The common case (send -> deliver -> drop, nothing
-// parked) becomes two pointer pops/pushes on a thread-local free list.
-//
-// The pool is thread-local, so parallel_sweep workers need no coordination;
-// a block freed on a different thread than it was allocated on simply
-// migrates to the freeing thread's pool (the memory itself is ordinary
-// operator-new memory, owned by no thread).
+// make_message, core::id_vec and wire_msg's spilled frames allocate through
+// pool_allocator: operator new and operator delete, plus two process-wide
+// gauges, the message bytes live now and their high-water mark.  Run reports
+// (mem.pool_live_bytes) and perfbench (sim.pool_peak_bytes) read a run's
+// message footprint from them.  Each block is the exact size asked for.
 
 namespace pool_detail {
 
-/// Allocates `bytes` from the calling thread's pool (falls back to
-/// operator new for sizes above the largest size class).
+/// operator new(bytes), charged to the gauges once it has returned.
 void* allocate(std::size_t bytes);
 
-/// Returns a block to the calling thread's pool (or the heap).
+/// operator delete(p), refunding `bytes` on whichever thread frees.
 void deallocate(void* p, std::size_t bytes) noexcept;
 
-/// Blocks currently cached by the calling thread's pool (tests/telemetry).
-std::size_t cached_blocks() noexcept;
+/// No-ops: perfbench/src/spans.cpp calls them and is frozen with the benchmark.
+inline void trim() noexcept {}
+inline void trim_global() noexcept {}
 
-/// Frees every cached block of the calling thread back to the heap.
-void trim() noexcept;
-
-/// Frees every block cached on the cross-thread reclaim list.
-void trim_global() noexcept;
-
-/// Pool occupancy and cross-thread migration counters.  The thread_*
-/// fields describe the calling thread's cache; the reclaim counters and
-/// the live/peak gauges are process-wide (telemetry::record_pool exports
-/// them).
 struct pool_stats {
-  std::size_t thread_cached_blocks = 0;
-  std::size_t thread_cached_bytes = 0;
-  std::size_t global_cached_blocks = 0;
-  /// Heap bytes of every free block the pool keeps, the calling thread's
-  /// cache and the reclaim list together, each block counted as the
-  /// allocator holds it (common/heap.h): what memory reports charge the
-  /// pool beyond its live blocks.
-  std::size_t cached_heap_bytes = 0;
-  std::uint64_t reclaim_donations = 0;  ///< blocks spilled thread -> global
-  std::uint64_t reclaim_grabs = 0;      ///< blocks refilled global -> thread
-  /// Bytes currently resident in live pool blocks (allocated minus freed,
-  /// charged at the block's full class size), across all threads.
+  /// Message bytes allocated and not yet freed, across all threads.
   std::int64_t live_bytes = 0;
   /// High-water mark of live_bytes since the last reset_peak_bytes().
   std::int64_t peak_bytes = 0;
@@ -121,8 +94,9 @@ void reset_peak_bytes() noexcept;
 
 }  // namespace pool_detail
 
-/// Minimal allocator over the thread-local message pool, for
-/// std::allocate_shared.  Stateless: all instances compare equal.
+/// Minimal allocator over the counted message heap, for
+/// std::allocate_shared and id vectors.  Stateless: all instances compare
+/// equal.
 template <typename T>
 struct pool_allocator {
   using value_type = T;
@@ -145,7 +119,7 @@ struct pool_allocator {
 };
 
 /// Convenience factory: make_message<search_msg>(args...).  Control block
-/// and message share one pooled allocation.
+/// and message share one counted allocation.
 template <typename M, typename... Args>
 message_ptr make_message(Args&&... args) {
   return std::allocate_shared<const M>(pool_allocator<const M>{},

@@ -136,8 +136,8 @@ class reliable_link_layer final : public link_adapter {
 
   /// Heap bytes the per-channel tables hold (common/heap.h): both
   /// indexes, the sender and receiver records, the unacked windows and the
-  /// out-of-order buffers (the envelopes themselves live in the message
-  /// pool).  For reports.
+  /// out-of-order buffers (the envelopes themselves are message bytes,
+  /// sim::pool_detail::stats).  For reports.
   std::size_t memory_bytes() const noexcept;
 
   // link_adapter interface (called by the network).

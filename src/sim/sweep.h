@@ -16,9 +16,9 @@
 //   * shared inputs (a common graph::digraph, config templates) must be
 //     treated as read-only;
 //   * writes must go to the job's own slot (distinct indices never race);
-//   * sim::make_message's pooled allocator is thread-local and needs no
-//     coordination (blocks freed on a different thread than they were
-//     allocated on simply migrate to the freeing thread's pool).
+//   * sim::make_message allocates from the heap and needs no coordination;
+//     its byte gauges are process-wide atomics, so a message may be freed
+//     on another thread than the one that allocated it.
 //
 // Determinism: results are keyed by job index, not completion order, so a
 // sweep's merged output is byte-identical whatever the interleaving of

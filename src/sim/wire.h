@@ -152,7 +152,8 @@ namespace asyncrd::sim {
 /// header byte (wire::wire_bit | inner tag).
 ///
 /// The frame lives inline for small messages (every fixed-field message
-/// fits) and spills to the size-classed message pool for large id sets.
+/// fits) and spills to a counted heap block (sim::pool_detail::allocate)
+/// for large id sets.
 class wire_msg final : public message {
  public:
   /// Precondition: len >= 1 (a frame always has its header byte).

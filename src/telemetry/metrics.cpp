@@ -66,23 +66,6 @@ void record_chaos(registry& reg, std::string_view prefix,
   reg.get_gauge(p + ".max_rto").set(static_cast<double>(rl->max_rto));
 }
 
-void record_pool(registry& reg, std::string_view prefix,
-                 const sim::pool_detail::pool_stats& ps) {
-  const std::string p(prefix);
-  reg.get_gauge(p + ".thread_cached_blocks")
-      .set(static_cast<double>(ps.thread_cached_blocks));
-  reg.get_gauge(p + ".thread_cached_bytes")
-      .set(static_cast<double>(ps.thread_cached_bytes));
-  reg.get_gauge(p + ".global_cached_blocks")
-      .set(static_cast<double>(ps.global_cached_blocks));
-  reg.get_gauge(p + ".reclaim_donations")
-      .set(static_cast<double>(ps.reclaim_donations));
-  reg.get_gauge(p + ".reclaim_grabs")
-      .set(static_cast<double>(ps.reclaim_grabs));
-  reg.get_gauge(p + ".live_bytes").set(static_cast<double>(ps.live_bytes));
-  reg.get_gauge(p + ".peak_bytes").set(static_cast<double>(ps.peak_bytes));
-}
-
 void registry::write_json(json_writer& w) const {
   w.begin_object();
   w.key("counters").begin_object();

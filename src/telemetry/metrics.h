@@ -97,12 +97,4 @@ void record_chaos(registry& reg, std::string_view prefix,
                   const sim::fault_stats& faults,
                   const sim::reliable_link_stats* rl = nullptr);
 
-/// Records message-pool occupancy and cross-thread reclaim traffic under
-/// `prefix` (gauges: ".thread_cached_blocks", ".thread_cached_bytes",
-/// ".global_cached_blocks", ".reclaim_donations", ".reclaim_grabs",
-/// ".live_bytes", ".peak_bytes").  The thread-local fields describe the
-/// *calling* thread's cache; live/peak are process-wide.
-void record_pool(registry& reg, std::string_view prefix,
-                 const sim::pool_detail::pool_stats& ps);
-
 }  // namespace asyncrd::telemetry

@@ -550,7 +550,7 @@ TEST(RunRecorder, ReportsEveryMemoryPart) {
   const std::vector<std::string> names{
       "queue_buckets", "queue_overflow", "channels",      "channel_index",
       "node_index",    "node_slots",     "fault_streams", "nodes",
-      "reliable_links", "pool_live",     "pool_cached"};
+      "reliable_links", "pool_live"};
   const std::vector<sim::memory_part> parts = run.memory_parts();
   ASSERT_EQ(parts.size(), names.size());
   for (std::size_t i = 0; i < parts.size(); ++i) {
@@ -585,9 +585,6 @@ TEST(RunMemory, PartsMatchMallocInUseGrowthOn40kGeneric) {
     return m.uordblks + m.hblkhd;
   };
   const auto g = graph::random_weakly_connected(40000, 80000, 1);
-  // Start the pool empty, so its cached blocks are this run's.
-  sim::pool_detail::trim();
-  sim::pool_detail::trim_global();
   const std::size_t before = in_use();
   sim::unit_delay_scheduler sched;
   core::discovery_run run(g, core::config{}, sched);

@@ -368,8 +368,8 @@ TEST(Codec, RoundTripsIdSetPayloadsRandomized) {
 }
 
 TEST(Codec, LargeFramesSpillToThePoolAndBack) {
-  // Well past wire_msg's 32-byte inline buffer: the egress box takes the
-  // pooled heap path; its bytes must decode to the same set (ASan guards
+  // Well past wire_msg's 32-byte inline buffer: the egress box spills to a
+  // counted heap block; its bytes must decode to the same set (ASan guards
   // the copy).
   core::id_vec ids;
   for (node_id i = 0; i < 500; ++i) ids.push_back(i * 7 + 1);
