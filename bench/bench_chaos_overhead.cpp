@@ -25,7 +25,6 @@
 #include "graph/topology.h"
 #include "sim/reliable_link.h"
 #include "sim/sweep.h"
-#include "telemetry/metrics.h"
 
 int main(int argc, char** argv) {
   using namespace asyncrd;
@@ -131,10 +130,8 @@ int main(int argc, char** argv) {
 
   rep.note("baseline_wire_msgs", static_cast<double>(base_msgs));
   rep.note("baseline_completion_time", static_cast<double>(base_time));
-  telemetry::registry reg;
-  telemetry::record_sweep(reg, "bench.chaos_overhead", sw);
-  rep.note("sweep_workers", reg.get_gauge("bench.chaos_overhead.workers").value());
-  rep.note("sweep_wall_ms", reg.get_gauge("bench.chaos_overhead.wall_ms").value());
+  rep.note("sweep_workers", static_cast<double>(sw.workers));
+  rep.note("sweep_wall_ms", sw.wall_ms);
 
   t.print(std::cout);
   std::cout << "\nexpectation: the drop=0 rows price the bare ARQ tax"

@@ -6,8 +6,8 @@
 // Four modes, best-of-N events/sec each:
 //
 //   plain     no telemetry at all (bench_sim_throughput's measurement);
-//   recorder  run_recorder with default options — the pre-existing
-//             load/metrics/transition observers, health layer disarmed;
+//   recorder  run_recorder with default options — the load observer and
+//             the transition recorder, health layer disarmed;
 //   armed     run_recorder with the series sampler (interval 256, ~130
 //             samples over the run), the stall watchdog (window 4096,
 //             probing every 1024 ticks), and a 4096-entry flight recorder;

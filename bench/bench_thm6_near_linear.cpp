@@ -15,7 +15,6 @@
 #include "core/runner.h"
 #include "graph/topology.h"
 #include "sim/sweep.h"
-#include "telemetry/metrics.h"
 #include "unionfind/ackermann.h"
 
 int main(int argc, char** argv) {
@@ -72,10 +71,8 @@ int main(int argc, char** argv) {
                fmt_double(static_cast<double>(adh.messages) / dn)});
   }
 
-  telemetry::registry reg;
-  telemetry::record_sweep(reg, "bench.thm6_near_linear", sw);
-  rep.note("sweep_workers", reg.get_gauge("bench.thm6_near_linear.workers").value());
-  rep.note("sweep_wall_ms", reg.get_gauge("bench.thm6_near_linear.wall_ms").value());
+  rep.note("sweep_workers", static_cast<double>(sw.workers));
+  rep.note("sweep_wall_ms", sw.wall_ms);
 
   t.print(std::cout);
   std::cout << "\npaper: Theorem 5 vs Theorem 6 — generic/n should grow"

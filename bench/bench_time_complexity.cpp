@@ -24,7 +24,6 @@
 #include "core/runner.h"
 #include "graph/topology.h"
 #include "sim/sweep.h"
-#include "telemetry/metrics.h"
 
 int main(int argc, char** argv) {
   using namespace asyncrd;
@@ -79,10 +78,8 @@ int main(int argc, char** argv) {
                std::to_string(d.pd.rounds)});
   }
 
-  telemetry::registry reg;
-  telemetry::record_sweep(reg, "bench.time_complexity", sw);
-  rep.note("sweep_workers", reg.get_gauge("bench.time_complexity.workers").value());
-  rep.note("sweep_wall_ms", reg.get_gauge("bench.time_complexity.wall_ms").value());
+  rep.note("sweep_workers", static_cast<double>(sw.workers));
+  rep.note("sweep_wall_ms", sw.wall_ms);
 
   t.print(std::cout);
   std::cout << "\npaper: §7 — this algorithm trades time for messages:"

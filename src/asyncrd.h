@@ -44,7 +44,6 @@
 #include "telemetry/critical_path.h"
 #include "telemetry/histogram.h"
 #include "telemetry/json.h"
-#include "telemetry/metrics.h"
 #include "telemetry/perfetto.h"
 #include "telemetry/report.h"
 #include "telemetry/tracer.h"

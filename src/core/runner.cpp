@@ -12,7 +12,6 @@ discovery_run::discovery_run(const graph::digraph& g, config cfg,
     : cfg_(cfg), net_(sched) {
   // The merge tracker sits between the nodes and any user trace sink for
   // the whole run; a trace passed in via cfg becomes its forward target.
-  merge_tracker_.net = &net_;
   merge_tracker_.user = cfg_.trace;
   cfg_.trace = &merge_tracker_;
   // g.nodes() is ascending, and every generator hands out ids 0..n-1, so

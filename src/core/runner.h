@@ -43,12 +43,6 @@ class discovery_run {
   /// retires exactly one leader, so live components = nodes - merges.
   std::uint64_t merges() const noexcept { return merge_tracker_.merges; }
 
-  /// Virtual time of the most recent merge (0 before the first) — one of
-  /// the stall watchdog's progress signals.
-  sim::sim_time last_merge_at() const noexcept {
-    return merge_tracker_.last_merge_at;
-  }
-
   /// Live components remaining by merge accounting.
   std::uint64_t components_remaining() const noexcept {
     return net_.node_count() - merge_tracker_.merges;
@@ -113,15 +107,10 @@ class discovery_run {
   /// user-armed sink, so telemetry can trace without losing merge counts.
   struct merge_tracker final : trace_sink {
     void on_transition(node_id n, status_t from, status_t to) override {
-      if (is_leader_status(from) && !is_leader_status(to)) {
-        ++merges;
-        last_merge_at = net->now();
-      }
+      if (is_leader_status(from) && !is_leader_status(to)) ++merges;
       if (user != nullptr) user->on_transition(n, from, to);
     }
     std::uint64_t merges = 0;
-    sim::sim_time last_merge_at = 0;
-    sim::network* net = nullptr;
     trace_sink* user = nullptr;
   };
 

@@ -27,14 +27,6 @@ std::uint64_t load_observer::spilled(node_id id, bool received) const noexcept {
   return received ? spill_[found].received : spill_[found].sent;
 }
 
-std::vector<std::uint64_t> load_observer::loads() const {
-  std::vector<std::uint64_t> out(std::max(sent_.size(), received_.size()), 0);
-  for (std::size_t v = 0; v < sent_.size(); ++v) out[v] += sent_[v];
-  for (std::size_t v = 0; v < received_.size(); ++v) out[v] += received_[v];
-  while (!out.empty() && out.back() == 0) out.pop_back();
-  return out;
-}
-
 std::vector<std::pair<node_id, std::uint64_t>> load_observer::all_loads()
     const {
   std::vector<std::pair<node_id, std::uint64_t>> out;
@@ -80,13 +72,6 @@ std::uint64_t load_observer::max_load() const {
   std::uint64_t best = 0;
   for (const auto& [id, l] : all_loads()) best = std::max(best, l);
   return best;
-}
-
-void load_observer::reset() {
-  sent_.clear();
-  received_.clear();
-  spill_index_.clear();
-  spill_.clear();
 }
 
 }  // namespace asyncrd::sim

@@ -8,7 +8,9 @@
 // map lookup per event.  Ids beyond the dense window spill to a
 // flat_u64_map overflow table instead of growing the vectors: one
 // dynamically added node with id 10^9 used to balloon the dense vectors to
-// a billion entries.  Readers sum both homes, so the split is invisible.
+// a billion entries.  sent_by/received_by add a node's spilled count to
+// its dense one, and all_loads() merges both homes into the one per-node
+// view, so the split is invisible.
 // To combine with other observers, register both on the network
 // (network::add_observer fans out to every armed observer).
 #pragma once
@@ -56,16 +58,9 @@ class load_observer final : public observer {
   node_id hottest() const;
   std::uint64_t max_load() const;
 
-  /// Total load per node within the dense window, indexed by id (trailing
-  /// zero-load ids trimmed).  Spilled ids are not represented here — use
-  /// all_loads() for the complete picture.
-  std::vector<std::uint64_t> loads() const;
-
   /// (id, total load) for every node that saw traffic — dense and spilled —
-  /// ascending by id.  The memory-safe way to walk sparse id spaces.
+  /// ascending by id.
   std::vector<std::pair<node_id, std::uint64_t>> all_loads() const;
-
-  void reset();
 
  private:
   struct spill_entry {

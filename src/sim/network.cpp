@@ -633,7 +633,6 @@ run_result network::run_to_quiescence(std::uint64_t max_events) {
   timing_.events += r.events_processed;
   timing_.wall_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-  sched_->on_run_timing(timing_);
   return r;
 }
 

@@ -319,7 +319,6 @@ class network : public transport {
   /// and forgets every per-pair fault stream, so each pair's stream starts
   /// afresh from the new plan's seed on its next transmission.
   void set_fault_plan(const fault_plan& plan);
-  const fault_plan& fault_config() const noexcept { return plan_; }
   bool faults_enabled() const noexcept { return faults_on_; }
   const fault_stats& faults() const noexcept { return fault_stats_; }
 

@@ -190,11 +190,6 @@ class scheduler {
   /// senders via the network reference.  Return true iff anything was
   /// injected (the run loop continues); false ends the run.
   virtual bool on_quiescence(network&) { return false; }
-
-  /// Timing hook: called by the network after each event loop with the
-  /// cumulative run_timing.  Default is a no-op; adaptive schedulers and
-  /// telemetry collectors can override to observe throughput.
-  virtual void on_run_timing(const run_timing&) {}
 };
 
 /// Every message takes exactly one time unit.  With the deterministic

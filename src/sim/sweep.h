@@ -64,8 +64,4 @@ sweep_result parallel_sweep(
     const std::function<void(std::size_t job, std::size_t worker)>& fn,
     std::size_t max_workers = 0, sweep_result* out = nullptr);
 
-// Merging a finished sweep into the metrics registry lives on the telemetry
-// side (telemetry::record_sweep in telemetry/metrics.h): telemetry already
-// depends on sim, never the reverse.
-
 }  // namespace asyncrd::sim

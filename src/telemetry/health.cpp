@@ -42,27 +42,6 @@ sim::sim_time stall_watchdog::on_probe(sim::network& net) {
   return net.now() + cfg_.probe_interval;
 }
 
-void stall_watchdog::write_json(json_writer& w) const {
-  w.begin_object();
-  w.kv("armed", true);
-  w.kv("window", cfg_.window);
-  w.kv("probe_interval", cfg_.probe_interval);
-  w.kv("abort_on_trip", cfg_.abort_on_trip);
-  w.key("trips").begin_array();
-  for (const watchdog_trip& t : trips_) {
-    w.begin_object();
-    w.kv("at", t.at);
-    w.kv("last_progress_at", t.last_progress_at);
-    w.kv("in_flight", t.in_flight);
-    w.kv("arq_outstanding", t.arq_outstanding);
-    w.kv("app_deliveries", t.app_deliveries);
-    w.kv("merges", t.merges);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
 std::string dispatch_tag_name(std::uint8_t tag) {
   using core::msg_kind;
   if (tag == sim::rl_data_tag) return "rl.data";

@@ -66,10 +66,6 @@ class stall_watchdog final : public sim::health_probe {
   const std::vector<watchdog_trip>& trips() const noexcept { return trips_; }
   const watchdog_config& config() const noexcept { return cfg_; }
 
-  /// The run report's "watchdog" object:
-  /// {"armed": true, "window": W, "trips": [{...}, ...]}
-  void write_json(json_writer& w) const;
-
  private:
   core::discovery_run* run_;
   watchdog_config cfg_;

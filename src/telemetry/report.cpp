@@ -214,40 +214,13 @@ run_report collect_run_report(const core::discovery_run& run,
   return rep;
 }
 
-run_recorder::metrics_observer::metrics_observer(registry& reg)
-    : sends_(&reg.get_counter("net.sends")),
-      delivers_(&reg.get_counter("net.delivers")),
-      wakes_(&reg.get_counter("net.wakes")),
-      payload_ids_(&reg.get_histogram("net.payload_ids")) {}
-
-void run_recorder::metrics_observer::on_event(const sim::event_record& r) {
-  switch (r.what) {
-    case sim::event_record::kind::send:
-      sends_->inc();
-      payload_ids_->record(r.m->id_fields());
-      break;
-    case sim::event_record::kind::deliver:
-      delivers_->inc();
-      break;
-    case sim::event_record::kind::wake:
-      wakes_->inc();
-      break;
-    case sim::event_record::kind::timer:
-      break;
-  }
-}
-
 run_recorder::run_recorder(core::discovery_run& run, recorder_options opts)
-    : run_(&run), metrics_obs_(metrics_) {
+    : run_(&run) {
   load_.reserve_dense(run.net().node_count());
   run_->net().add_observer(&load_);
-  run_->net().add_observer(&metrics_obs_);
   run_->set_trace(&transitions_);
   if (opts.series_interval > 0) {
-    series_sampler_config scfg;
-    scfg.interval = opts.series_interval;
-    scfg.capacity = opts.series_capacity;
-    sampler_ = std::make_unique<series_sampler>(run, scfg);
+    sampler_ = std::make_unique<series_sampler>(run, opts.series_interval);
     run_->net().add_health_probe(sampler_.get(), opts.series_interval);
   }
   if (opts.watchdog.window > 0) {
@@ -274,7 +247,6 @@ run_recorder::~run_recorder() {
   if (flight_ != nullptr) run_->net().remove_observer(flight_.get());
   if (watchdog_ != nullptr) run_->net().remove_health_probe(watchdog_.get());
   if (sampler_ != nullptr) run_->net().remove_health_probe(sampler_.get());
-  run_->net().remove_observer(&metrics_obs_);
   run_->net().remove_observer(&load_);
   run_->set_trace(nullptr);
 }

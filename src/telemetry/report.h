@@ -34,7 +34,6 @@
 #include "sim/stats.h"
 #include "telemetry/health.h"
 #include "telemetry/histogram.h"
-#include "telemetry/metrics.h"
 #include "telemetry/timeseries.h"
 
 namespace asyncrd::telemetry {
@@ -202,8 +201,6 @@ struct recorder_options {
   /// Virtual-time sampling interval for the progress series; 0 = no
   /// sampler.
   sim::sim_time series_interval = 0;
-  /// Retained samples per series column before resolution halves.
-  std::size_t series_capacity = 512;
   /// Stall watchdog; window == 0 leaves it disarmed.
   watchdog_config watchdog;
   /// Flight-recorder ring size (last K dispatched events); 0 = none.
@@ -212,13 +209,13 @@ struct recorder_options {
   bool profile = false;
 };
 
-/// Arms a load observer, a transition recorder, and a metrics registry on a
-/// discovery_run in one shot (as network observers) — plus, when the
-/// options ask for them, the series sampler, stall watchdog, flight
-/// recorder and profiler — and builds the report afterwards.  The report's
-/// `extra` block carries the run's memory at report time, one
-/// `mem.<part>_bytes` per discovery_run::memory_parts entry, and the
-/// process's `mem.peak_rss_bytes`.  Detaches everything on destruction.
+/// Arms a load observer (a network observer) and a transition recorder on
+/// a discovery_run in one shot — plus, when the options ask for them, the
+/// series sampler, stall watchdog, flight recorder and profiler — and
+/// builds the report afterwards.  The report's `extra` block carries the
+/// run's memory at report time, one `mem.<part>_bytes` per
+/// discovery_run::memory_parts entry, and the process's
+/// `mem.peak_rss_bytes`.  Detaches everything on destruction.
 class run_recorder {
  public:
   explicit run_recorder(core::discovery_run& run, recorder_options opts = {});
@@ -233,7 +230,6 @@ class run_recorder {
   const core::transition_recorder& transitions() const noexcept {
     return transitions_;
   }
-  registry& metrics() noexcept { return metrics_; }
 
   /// Armed health instruments; nullptr when the options left them off.
   const series_sampler* sampler() const noexcept { return sampler_.get(); }
@@ -244,24 +240,9 @@ class run_recorder {
   }
 
  private:
-  /// Feeds the metrics registry from network events.
-  class metrics_observer final : public sim::observer {
-   public:
-    explicit metrics_observer(registry& reg);
-    void on_event(const sim::event_record& r) override;
-
-   private:
-    counter* sends_;
-    counter* delivers_;
-    counter* wakes_;
-    histogram* payload_ids_;
-  };
-
   core::discovery_run* run_;
   sim::load_observer load_;
   core::transition_recorder transitions_;
-  registry metrics_;
-  metrics_observer metrics_obs_;
   std::unique_ptr<series_sampler> sampler_;
   std::unique_ptr<stall_watchdog> watchdog_;
   std::unique_ptr<sim::flight_recorder> flight_;

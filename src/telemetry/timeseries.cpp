@@ -3,9 +3,18 @@
 #include <algorithm>
 #include <cassert>
 
-#include "telemetry/json.h"
-
 namespace asyncrd::telemetry {
+
+namespace {
+
+/// Retained samples per column before the frame halves its resolution.
+constexpr std::size_t series_capacity = 512;
+/// Nodes whose next-pointer chain is walked per sample (rotating cursor),
+/// and the per-walk hop cap.
+constexpr std::size_t chain_nodes_per_sample = 32;
+constexpr std::size_t chain_max_hops = 64;
+
+}  // namespace
 
 series_frame::series_frame(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity + (capacity & 1), 4)) {}
@@ -71,29 +80,9 @@ std::vector<std::uint64_t> series_frame::column(std::uint32_t i) const {
   return out;
 }
 
-void series_frame::write_json(json_writer& w) const {
-  w.begin_object();
-  w.kv("stride", stride_);
-  w.kv("recorded", tick_);
-  w.key("t").begin_array();
-  for (const sim_time t : times_) w.value(t);
-  if (have_pending_) w.value(pending_t_);
-  w.end_array();
-  w.key("cols").begin_object();
-  for (std::uint32_t i = 0; i < cols_.size(); ++i) {
-    w.key(cols_[i].name).begin_array();
-    for (const std::uint64_t v : cols_[i].values) w.value(v);
-    if (have_pending_) w.value(pending_[i]);
-    w.end_array();
-  }
-  w.end_object();
-  w.end_object();
-}
-
-series_sampler::series_sampler(core::discovery_run& run,
-                               series_sampler_config cfg)
-    : run_(&run), cfg_(cfg), frame_(cfg.capacity) {
-  if (cfg_.interval == 0) cfg_.interval = 1;
+series_sampler::series_sampler(core::discovery_run& run, sim_time interval)
+    : run_(&run), interval_(interval == 0 ? 1 : interval),
+      frame_(series_capacity) {
   col_components_ = frame_.add_column("components");
   col_in_flight_ = frame_.add_column("in_flight");
   col_queue_depth_ = frame_.add_column("queue_depth");
@@ -104,20 +93,15 @@ series_sampler::series_sampler(core::discovery_run& run,
 
 sim_time series_sampler::on_probe(sim::network& net) {
   // Pointer-chain hi-water: walk a bounded, rotating slice of the nodes so
-  // the per-sample cost stays O(chain_nodes_per_sample * max_hops) however
-  // large the network; over many samples the cursor covers everyone.
-  if (cfg_.chain_nodes_per_sample > 0) {
-    if (ids_.size() != net.node_count()) ids_ = run_->ids();
-    if (!ids_.empty()) {
-      const std::size_t walk =
-          std::min(cfg_.chain_nodes_per_sample, ids_.size());
-      for (std::size_t i = 0; i < walk; ++i) {
-        const node_id v = ids_[chain_cursor_];
-        chain_cursor_ = chain_cursor_ + 1 == ids_.size() ? 0 : chain_cursor_ + 1;
-        chain_hi_water_ = std::max<std::uint64_t>(
-            chain_hi_water_, run_->chain_length(v, cfg_.chain_max_hops));
-      }
-    }
+  // the per-sample cost stays O(chain_nodes_per_sample * chain_max_hops)
+  // however large the network; over many samples the cursor covers everyone.
+  if (ids_.size() != net.node_count()) ids_ = run_->ids();
+  const std::size_t walk = std::min(chain_nodes_per_sample, ids_.size());
+  for (std::size_t i = 0; i < walk; ++i) {
+    const node_id v = ids_[chain_cursor_];
+    chain_cursor_ = chain_cursor_ + 1 == ids_.size() ? 0 : chain_cursor_ + 1;
+    chain_hi_water_ = std::max<std::uint64_t>(
+        chain_hi_water_, run_->chain_length(v, chain_max_hops));
   }
 
   const sim::reliable_link_layer* rl = run_->reliable_links();
@@ -177,26 +161,7 @@ sim_time series_sampler::on_probe(sim::network& net) {
   frame_.record(net.now(), row_.data(), row_.size());
   // Align the next sample to the interval grid (now may already be past
   // several grid points on a sparse timeline; skip them rather than batch).
-  return (net.now() / cfg_.interval + 1) * cfg_.interval;
-}
-
-void series_sampler::write_json(json_writer& w) const {
-  w.begin_object();
-  w.kv("interval", cfg_.interval);
-  w.kv("stride", frame_.stride());
-  w.kv("recorded", frame_.recorded());
-  const std::vector<sim_time> t = frame_.times();
-  w.key("t").begin_array();
-  for (const sim_time v : t) w.value(v);
-  w.end_array();
-  w.key("cols").begin_object();
-  for (std::uint32_t i = 0; i < frame_.columns(); ++i) {
-    w.key(frame_.column_name(i)).begin_array();
-    for (const std::uint64_t v : frame_.column(i)) w.value(v);
-    w.end_array();
-  }
-  w.end_object();
-  w.end_object();
+  return (net.now() / interval_ + 1) * interval_;
 }
 
 }  // namespace asyncrd::telemetry

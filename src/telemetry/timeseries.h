@@ -34,15 +34,13 @@
 
 namespace asyncrd::telemetry {
 
-class json_writer;
-
 using sim_time = sim::sim_time;
 
 class series_frame {
  public:
   /// `capacity` is the maximum retained samples per column; rounded up to
   /// an even number >= 4 so halving always preserves the first sample.
-  explicit series_frame(std::size_t capacity = 512);
+  explicit series_frame(std::size_t capacity);
 
   /// Registers a column (idempotent per name) and returns its index.  A
   /// column added after sampling started is backfilled with zeros — message
@@ -72,9 +70,6 @@ class series_frame {
   std::vector<sim_time> times() const;
   std::vector<std::uint64_t> column(std::uint32_t i) const;
 
-  /// {"stride": S, "recorded": N, "t": [...], "cols": {name: [...], ...}}
-  void write_json(json_writer& w) const;
-
  private:
   struct col {
     std::string name;
@@ -95,33 +90,21 @@ class series_frame {
   std::vector<std::uint64_t> pending_;
 };
 
-struct series_sampler_config {
-  sim_time interval = 1024;     ///< virtual time between samples
-  std::size_t capacity = 512;   ///< retained samples before halving
-  /// Nodes whose next-pointer chain is walked per sample (rotating cursor),
-  /// and the per-walk hop cap.  0 disables chain sampling.
-  std::size_t chain_nodes_per_sample = 32;
-  std::size_t chain_max_hops = 64;
-};
-
 class series_sampler final : public sim::health_probe {
  public:
-  series_sampler(core::discovery_run& run, series_sampler_config cfg = {});
+  /// Samples every `interval` of virtual time (0 reads as 1).
+  series_sampler(core::discovery_run& run, sim_time interval);
 
   sim_time on_probe(sim::network& net) override;
 
   const series_frame& frame() const noexcept { return frame_; }
-  sim_time interval() const noexcept { return cfg_.interval; }
+  sim_time interval() const noexcept { return interval_; }
   std::uint64_t chain_hi_water() const noexcept { return chain_hi_water_; }
   std::uint64_t samples() const noexcept { return frame_.recorded(); }
 
-  /// The run report's "series" object:
-  /// {"interval": I, "stride": S, "recorded": N, "t": [...], "cols": {...}}
-  void write_json(json_writer& w) const;
-
  private:
   core::discovery_run* run_;
-  series_sampler_config cfg_;
+  sim_time interval_;
   series_frame frame_;
   // Fixed columns registered up front; per-type send columns appear lazily.
   std::uint32_t col_components_;

@@ -15,7 +15,6 @@ dsu::dsu(std::size_t n, link_policy lp, compress_policy cp)
 
 std::size_t dsu::find(std::size_t x) {
   assert(x < parent_.size());
-  ++find_calls_;
   std::size_t root = x;
   while (parent_[root] != root) {
     root = parent_[root];

@@ -50,15 +50,11 @@ class dsu {
   /// analogue of the distributed algorithm's search/release message count.
   std::uint64_t find_steps() const noexcept { return find_steps_; }
 
-  /// Number of find() calls so far.
-  std::uint64_t find_calls() const noexcept { return find_calls_; }
-
  private:
   std::vector<std::size_t> parent_;
   std::vector<std::uint8_t> rank_;
   std::size_t components_;
   std::uint64_t find_steps_ = 0;
-  std::uint64_t find_calls_ = 0;
   link_policy link_;
   compress_policy compress_;
 };

@@ -23,7 +23,6 @@
 #include "sim/scheduler.h"
 #include "sim/sweep.h"
 #include "telemetry/json.h"
-#include "telemetry/metrics.h"
 #include "telemetry/report.h"
 
 namespace asyncrd {
@@ -185,14 +184,6 @@ TEST(ChaosSweep, RunReportCarriesChaosCounters) {
   EXPECT_NE(chaos->find("retransmits"), nullptr);
   EXPECT_DOUBLE_EQ(chaos->find("retransmits")->as_number(),
                    static_cast<double>(rep.chaos.retransmits));
-
-  // record_chaos folds the same numbers into a metrics registry.
-  telemetry::registry reg;
-  const sim::reliable_link_stats rls = run.reliable_links()->stats();
-  telemetry::record_chaos(reg, "chaos", run.net().faults(), &rls);
-  EXPECT_EQ(reg.get_counter("chaos.drops").value(), rep.chaos.drops);
-  EXPECT_EQ(reg.get_counter("chaos.retransmits").value(),
-            rep.chaos.retransmits);
 }
 
 TEST(ChaosSweep, CleanRunReportsChaosDisabled) {

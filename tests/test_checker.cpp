@@ -2,6 +2,11 @@
 // bless correct ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/checker.h"
 #include "core/runner.h"
 #include "graph/topology.h"
@@ -142,6 +147,205 @@ TEST(Checker, ReportToStringListsEachViolation) {
   rep.violations = {"a", "b"};
   EXPECT_EQ(rep.to_string(), "a\nb\n");
   EXPECT_FALSE(rep.ok());
+}
+
+// ------------------------------------------------------- check_membership
+//
+// check_membership is the verdict on every service-mode cluster (loadgen,
+// the loopback tests).  Each case below snapshots a settled, passing run
+// the way a discoveryd process reports its nodes, breaks one property, and
+// pins the violation it must produce.
+
+/// Every node's checkable state, as net::node_host reports it (dg_state).
+std::vector<core::member_state> snapshot(const core::discovery_run& run) {
+  std::vector<core::member_state> out;
+  for (const node_id v : run.ids()) {
+    const core::node& nd = run.at(v);
+    core::member_state m;
+    m.id = v;
+    m.status = nd.status();
+    m.next = nd.next();
+    m.has_deferred = nd.has_deferred();
+    m.has_pending = nd.pending_queue_depth() != 0;
+    m.more_empty = nd.more().empty();
+    m.unaware_empty = nd.unaware().empty();
+    m.done.assign(nd.done().begin(), nd.done().end());
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+/// One weakly connected component of 20 nodes; every variant settles it.
+const graph::digraph& settled_graph() {
+  static const graph::digraph g = graph::random_weakly_connected(20, 20, 6);
+  return g;
+}
+
+/// A settled run's snapshot, with the ids the cases perturb: the leader,
+/// and a non-leader that no other node's next pointer names (so breaking
+/// its own pointer breaks no other chain).
+struct settled_members {
+  explicit settled_members(core::variant v) : algo(v) {
+    sim::unit_delay_scheduler sched;
+    core::config cfg;
+    cfg.algo = algo;
+    core::discovery_run run(settled_graph(), cfg, sched);
+    run.wake_all();
+    run.run();
+    EXPECT_TRUE(core::check_final_state(run, settled_graph()).ok());
+    members = snapshot(run);
+    for (const core::member_state& m : members)
+      if (m.is_leader()) leader = m.id;
+    for (const core::member_state& m : members) {
+      if (m.id == leader) continue;
+      const bool named = std::any_of(
+          members.begin(), members.end(), [&m](const core::member_state& o) {
+            return o.id != m.id && o.next == m.id;
+          });
+      if (!named) {
+        leaf = m.id;
+        break;
+      }
+    }
+  }
+
+  core::member_state& at(node_id v) {
+    return *std::find_if(
+        members.begin(), members.end(),
+        [v](const core::member_state& m) { return m.id == v; });
+  }
+
+  std::string verdict() const {
+    return core::check_membership(members, settled_graph().weak_components(),
+                                  algo)
+        .to_string();
+  }
+
+  core::variant algo;
+  std::vector<core::member_state> members;
+  node_id leader = invalid_node;
+  node_id leaf = invalid_node;
+};
+
+TEST(CheckMembership, PassesTheSnapshotOfASettledRun) {
+  for (const core::variant v : {core::variant::generic,
+                                core::variant::bounded,
+                                core::variant::adhoc}) {
+    settled_members s(v);
+    ASSERT_NE(s.leader, invalid_node);
+    ASSERT_NE(s.leaf, invalid_node);
+    EXPECT_EQ(s.verdict(), "") << core::to_string(v);
+  }
+}
+
+TEST(CheckMembership, FlagsASecondLeader) {
+  settled_members s(core::variant::generic);
+  s.at(s.leaf).status = core::status_t::wait;
+  EXPECT_EQ(s.verdict(), "component of node 0 has 2 leaders (expected 1)\n");
+}
+
+TEST(CheckMembership, FlagsAMissingMember) {
+  settled_members s(core::variant::generic);
+  s.members.erase(std::find_if(
+      s.members.begin(), s.members.end(),
+      [&s](const core::member_state& m) { return m.id == s.leaf; }));
+  EXPECT_EQ(s.verdict(), "node " + std::to_string(s.leaf) +
+                             " missing from the membership report\n");
+}
+
+TEST(CheckMembership, FlagsAMemberReportedTwice) {
+  settled_members s(core::variant::generic);
+  s.members.push_back(s.at(s.leaf));
+  EXPECT_EQ(s.verdict(),
+            "node " + std::to_string(s.leaf) + " reported twice\n");
+}
+
+TEST(CheckMembership, FlagsAMissingAndAnExtraneousDoneId) {
+  settled_members s(core::variant::generic);
+  std::vector<node_id>& done = s.at(s.leader).done;
+  done.erase(std::find(done.begin(), done.end(), s.leaf));
+  done.push_back(1000);
+  EXPECT_EQ(s.verdict(),
+            "leader " + std::to_string(s.leader) +
+                " done-set mismatch: knows 20 of 20 ids; missing " +
+                std::to_string(s.leaf) + "; extraneous 1000\n");
+}
+
+TEST(CheckMembership, FlagsAPassiveNonLeader) {
+  settled_members s(core::variant::generic);
+  s.at(s.leaf).status = core::status_t::passive;
+  EXPECT_EQ(s.verdict(),
+            "node " + std::to_string(s.leaf) +
+                " finished in state passive (expected inactive)\n");
+}
+
+TEST(CheckMembership, FlagsAWrongNextUnderGeneric) {
+  settled_members s(core::variant::generic);
+  s.at(s.leaf).next = s.leaf;
+  EXPECT_EQ(s.verdict(), "node " + std::to_string(s.leaf) + " next = " +
+                             std::to_string(s.leaf) + " but leader is " +
+                             std::to_string(s.leader) + "\n");
+}
+
+TEST(CheckMembership, FlagsAnAdhocChainThatMissesTheLeader) {
+  settled_members s(core::variant::adhoc);
+  s.at(s.leaf).next = s.leaf;
+  EXPECT_EQ(s.verdict(), "node " + std::to_string(s.leaf) +
+                             " next-pointer chain does not reach leader " +
+                             std::to_string(s.leader) + "\n");
+}
+
+TEST(CheckMembership, FlagsDeferredAndPendingWork) {
+  settled_members s(core::variant::generic);
+  s.at(s.leaf).has_deferred = true;
+  s.at(s.leaf).has_pending = true;
+  EXPECT_EQ(s.verdict(), "node " + std::to_string(s.leaf) +
+                             " still holds deferred messages\nnode " +
+                             std::to_string(s.leaf) +
+                             " still holds queued search/probe requests\n");
+}
+
+TEST(CheckMembership, FlagsABoundedLeaderThatDidNotTerminate) {
+  settled_members s(core::variant::bounded);
+  ASSERT_EQ(s.at(s.leader).status, core::status_t::terminated);
+  s.at(s.leader).status = core::status_t::wait;
+  EXPECT_EQ(s.verdict(), "bounded leader " + std::to_string(s.leader) +
+                             " did not detect termination\n");
+}
+
+// On a run's own snapshot, check_membership returns check_final_state's
+// list, violation for violation: on the three sparse-graph reproducers of
+// the §1.2 liveness bug (each fails in some variant while that bug stands)
+// and on a passing run, in all three variants.
+TEST(CheckMembership, MatchesCheckFinalStateOnTheSameRun) {
+  struct cell {
+    std::size_t n, extra;
+    std::uint64_t graph_seed, delay_seed;  // delay seed 0 = unit delays
+  };
+  for (const cell c : {cell{20, 20, 669, 0}, cell{14, 14, 686, 2},
+                       cell{20, 20, 109, 1}, cell{20, 20, 6, 0}}) {
+    for (const core::variant v : {core::variant::generic,
+                                  core::variant::bounded,
+                                  core::variant::adhoc}) {
+      const auto g = graph::random_weakly_connected(c.n, c.extra, c.graph_seed);
+      std::unique_ptr<sim::scheduler> sched;
+      if (c.delay_seed == 0)
+        sched = std::make_unique<sim::unit_delay_scheduler>();
+      else
+        sched = std::make_unique<sim::random_delay_scheduler>(c.delay_seed);
+      core::config cfg;
+      cfg.algo = v;
+      core::discovery_run run(g, cfg, *sched);
+      run.wake_all();
+      run.run();
+      EXPECT_EQ(
+          core::check_membership(snapshot(run), g.weak_components(), v)
+              .violations,
+          core::check_final_state(run, g).violations)
+          << "random:" << c.n << ":" << c.extra << ":" << c.graph_seed
+          << " --seed " << c.delay_seed << " --variant " << core::to_string(v);
+    }
+  }
 }
 
 }  // namespace

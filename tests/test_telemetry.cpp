@@ -1,7 +1,7 @@
 // Telemetry subsystem: histogram buckets and quantiles, the JSON
-// writer/parser pair, the network's observer fan-out, the metrics
-// registry, run_report determinism on a fixed seed/topology, and the run's
-// memory parts.
+// writer/parser pair, the network's observer fan-out, what the run report
+// collects, its determinism on a fixed seed/topology, and the run's memory
+// parts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "sim/scheduler.h"
 #include "telemetry/histogram.h"
 #include "telemetry/json.h"
-#include "telemetry/metrics.h"
 #include "telemetry/report.h"
 
 // glibc's in-use counters are the ground truth the memory parts are checked
@@ -294,38 +293,6 @@ TEST(Json, ParserHandlesEscapesAndRejectsGarbage) {
   EXPECT_FALSE(err.empty());
 }
 
-// ------------------------------------------------------------ metrics
-
-TEST(Metrics, RegistryInstrumentsAreStableAndResettable) {
-  telemetry::registry reg;
-  auto& c = reg.get_counter("net.sends");
-  c.inc();
-  c.inc(4);
-  EXPECT_EQ(reg.get_counter("net.sends").value(), 5u);
-  EXPECT_EQ(&reg.get_counter("net.sends"), &c);  // stable address
-
-  reg.get_gauge("queue.depth").set(3.5);
-  reg.get_gauge("queue.depth").add(0.5);
-  EXPECT_DOUBLE_EQ(reg.get_gauge("queue.depth").value(), 4.0);
-
-  reg.get_histogram("lat").record(9);
-  EXPECT_EQ(reg.get_histogram("lat").count(), 1u);
-
-  reg.reset();
-  EXPECT_EQ(reg.get_counter("net.sends").value(), 0u);
-  EXPECT_DOUBLE_EQ(reg.get_gauge("queue.depth").value(), 0.0);
-  EXPECT_EQ(reg.get_histogram("lat").count(), 0u);
-  EXPECT_EQ(reg.counters().size(), 1u);  // names survive reset
-
-  telemetry::json_writer w;
-  reg.write_json(w);
-  const auto parsed = telemetry::json_parse(w.take());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_NE(parsed->find("counters"), nullptr);
-  EXPECT_NE(parsed->find("gauges"), nullptr);
-  EXPECT_NE(parsed->find("histograms"), nullptr);
-}
-
 // ------------------------------------------------------- observer fan-out
 
 /// Appends "<tag><event>" markers so tests can assert fan-out order.
@@ -449,11 +416,11 @@ TEST(RunReport, CollectsEveryMeasuredDimension) {
   EXPECT_EQ(rep.transitions.at("asleep -> explore"), 50u);
   EXPECT_GE(rep.events_per_sec, 0.0);
 
-  // Registry picked up the same event stream the stats did.
-  EXPECT_EQ(rec.metrics().get_counter("net.sends").value(), rep.total_messages);
-  EXPECT_EQ(rec.metrics().get_counter("net.delivers").value(),
-            rep.total_messages);
-  EXPECT_EQ(rec.metrics().get_counter("net.wakes").value(), 50u);
+  // The load observer saw the same event stream the stats did: every
+  // message counts once at its sender and once at its receiver.
+  std::uint64_t load_sum = 0;
+  for (const auto& [id, l] : rec.load().all_loads()) load_sum += l;
+  EXPECT_EQ(load_sum, 2 * rep.total_messages);
 }
 
 TEST(RunReport, JsonHasRequiredKeysAndParses) {
@@ -522,7 +489,7 @@ TEST(RunRecorder, DetachesOnDestruction) {
     telemetry::run_recorder rec(run);
     run.wake_all();
     run.run();
-    EXPECT_GT(rec.load().loads().size(), 0u);
+    EXPECT_GT(rec.load().all_loads().size(), 0u);
   }
   // After the recorder is gone the network must be observer-free: another
   // run segment must not touch freed memory (asan-visible if it did).

@@ -117,20 +117,31 @@ TEST(SeriesFrame, DownsamplingIsAFaithfulSubsetOfFullResolution) {
   }
 }
 
-TEST(SeriesFrame, WriteJsonParsesWithEqualLengthColumns) {
-  series_frame f(8);
-  f.add_column("a");
-  f.add_column("b");
-  for (std::uint64_t k = 0; k < 20; ++k) {
-    const std::uint64_t row[] = {k, 2 * k};
-    f.record(k + 1, row, 2);
-  }
-  telemetry::json_writer w;
-  f.write_json(w);
-  const auto doc = telemetry::json_parse(w.take());
+// The run report is the one writer of the series.  This run halves the
+// frame twice, ends on a pending (unretained) sample and adds its send
+// columns mid-run; every column must still hold one value per sample time.
+TEST(SeriesSampler, ReportSeriesParsesWithEqualLengthColumns) {
+  const auto g = graph::random_weakly_connected(200, 300, 3);
+  sim::random_delay_scheduler sched(3);
+  core::config cfg;
+  core::discovery_run run(g, cfg, sched);
+  telemetry::recorder_options opts;
+  opts.series_interval = 1;
+  telemetry::run_recorder rec(run, opts);
+  run.wake_all();
+  const auto rep = rec.report(run.run());
+  ASSERT_TRUE(rep.completed);
+  ASSERT_GT(rep.series.stride, 1u);  // the frame halved at least once
+
+  const auto doc = telemetry::json_parse(rep.to_json());
   ASSERT_TRUE(doc.has_value());
-  const auto& t = doc->find("t")->as_array();
-  for (const auto& [name, col] : doc->find("cols")->as_object())
+  const auto* series = doc->find("series");
+  ASSERT_NE(series, nullptr);
+  const auto& t = series->find("t")->as_array();
+  EXPECT_EQ(t.size(), rec.sampler()->frame().times().size());
+  const auto& cols = series->find("cols")->as_object();
+  EXPECT_GT(cols.size(), 6u);  // the fixed columns plus per-type sends
+  for (const auto& [name, col] : cols)
     EXPECT_EQ(col.as_array().size(), t.size()) << name;
 }
 
