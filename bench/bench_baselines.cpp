@@ -48,8 +48,9 @@ int main(int argc, char** argv) {
       const auto ab = baselines::run_absorption(g, 1);
       const auto pd = baselines::run_pointer_doubling(g);
       all_ok = all_ok && generic.completed && bounded.completed &&
-               adhoc.completed && nd.converged && ab.converged &&
-               pd.converged;
+               adhoc.completed && generic.violations.empty() &&
+               bounded.violations.empty() && adhoc.violations.empty() &&
+               nd.converged && ab.converged && pd.converged;
       const double dn = static_cast<double>(n);
       const double lg = static_cast<double>(ceil_log2(n));
       const std::string suffix = dense ? "/dense" : "/sparse";
@@ -107,7 +108,8 @@ int main(int argc, char** argv) {
   const auto ring = graph::ring(1024);
   const auto dfs = baselines::run_dfs_election(ring);
   const auto ring_generic = core::run_discovery(ring, core::variant::generic, 1);
-  all_ok = all_ok && dfs.converged && ring_generic.completed;
+  all_ok = all_ok && dfs.converged && ring_generic.completed &&
+           ring_generic.violations.empty();
   text_table t2({"algorithm", "messages"});
   t2.add_row({"token DFS election (CGK contrast)", std::to_string(dfs.messages)});
   t2.add_row({"Generic (this paper)", std::to_string(ring_generic.messages)});

@@ -1,7 +1,10 @@
 // google-benchmark microbenchmarks of the building blocks: full discovery
 // executions per variant, the simulator's event loop, DSU operations, and
 // inverse-Ackermann evaluation.  Wall-clock numbers (unlike the message
-// counts in the other benches, these depend on the host machine).
+// counts in the other benches, these depend on the host machine).  The
+// BM_*Discovery benchmarks time core::run_discovery, which ends every run
+// with the §1.2 checker, so they time the run plus its check; they are not
+// gated and have no committed baseline.
 #include <benchmark/benchmark.h>
 
 #include <cstring>

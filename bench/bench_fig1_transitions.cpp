@@ -3,7 +3,8 @@
 // Reproduction: run all three variants over many randomized executions with
 // the transition recorder armed, and print every observed transition with
 // its multiplicity, checking the observed set is a subset of the diagram's
-// legal edges (as implemented; see trace.cpp for the two paper-typo notes).
+// legal edges (as implemented; see trace.cpp for the two paper-typo notes),
+// and that every run passes the §1.2 checker.
 // Also reports which legal edges were actually exercised — full coverage of
 // the diagram is evidence the test workloads reach every protocol corner.
 #include <iostream>
@@ -21,20 +22,22 @@ int main(int argc, char** argv) {
   bench::reporter rep("fig1_transitions", argc, argv);
 
   core::transition_recorder rec;
+  bool all_ok = true;
+  const auto run = [&](const graph::digraph& g, core::variant algo,
+                       std::uint64_t seed) {
+    if (!core::run_discovery(g, algo, seed, &rec).violations.empty())
+      all_ok = false;
+  };
   for (const auto algo : {core::variant::generic, core::variant::bounded,
                           core::variant::adhoc}) {
     for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-      const auto g = graph::random_weakly_connected(60, 90, seed * 13);
-      core::run_discovery(g, algo, seed, &rec);
-      const auto t = graph::directed_binary_tree(6);
-      core::run_discovery(t, algo, seed + 100, &rec);
-      const auto s = graph::star_in(40);
-      core::run_discovery(s, algo, seed + 200, &rec);
+      run(graph::random_weakly_connected(60, 90, seed * 13), algo, seed);
+      run(graph::directed_binary_tree(6), algo, seed + 100);
+      run(graph::star_in(40), algo, seed + 200);
     }
   }
 
   text_table t({"transition", "count", "legal"});
-  bool all_ok = true;
   for (const auto& [edge, count] : rec.edges()) {
     const bool legal = core::transition_recorder::legal_edges().contains(edge);
     all_ok = all_ok && legal;

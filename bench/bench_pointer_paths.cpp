@@ -12,6 +12,9 @@
 //
 //  * Hotspot analysis: the leader concentrates traffic; report the maximum
 //    per-node message load as a fraction of total traffic across n.
+//
+// Each run is checked against the §1.2 specification before it is
+// measured; a failed check skips the row and fails the report.
 #include <algorithm>
 #include <iostream>
 
@@ -58,6 +61,7 @@ int main(int argc, char** argv) {
   bench::reporter rep("pointer_paths", argc, argv);
   text_table t({"n", "avg path", "max path", "after 1 probe rnd",
                 "after 2 rnds", "probe msgs/rnd2", "max node load %"});
+  bool all_ok = true;
   for (const std::size_t n : {128u, 512u, 2048u}) {
     const auto g = graph::random_weakly_connected(n, n, 77 + n);
     sim::unit_delay_scheduler sched;
@@ -69,6 +73,11 @@ int main(int argc, char** argv) {
     run.net().add_observer(&load);
     run.wake_all();
     run.run();
+    if (!core::check_final_state(run, g).ok()) {
+      std::cout << "spec check FAILED: n = " << n << '\n';
+      all_ok = false;
+      continue;
+    }
     const node_id leader = run.leaders().front();
 
     const chain_stats initial = measure_chains(run, leader);
@@ -111,5 +120,5 @@ int main(int argc, char** argv) {
          "one hop from the leader (avg/max -> 1/1) and a second round costs"
          " exactly 2 messages per node.  The leader is the hotspot,\n"
          "touching a large constant fraction of all traffic.\n";
-  return rep.finish(true);
+  return rep.finish(all_ok);
 }

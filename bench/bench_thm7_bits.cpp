@@ -5,7 +5,8 @@
 // audit the bytes a socket would carry: an observer encodes every sent
 // message into its wire frame (core::wire::encode: header, varints, delta
 // sets) and sums the frame sizes, which are checked against the theorem's
-// envelope stated in bytes.
+// envelope stated in bytes.  Each run's final state is also checked
+// against the §1.2 specification (core::check_final_state).
 // The two per-type bit lemmas are still checked on the paper's O(log n)
 // field accounting: query-reply bits <= 2 |E0| log n and info bits
 // <= 4 n log^2 n.
@@ -30,6 +31,7 @@
 #include "bench_report.h"
 #include "common/bitmath.h"
 #include "common/table.h"
+#include "core/checker.h"
 #include "core/messages.h"
 #include "core/runner.h"
 #include "graph/topology.h"
@@ -75,7 +77,7 @@ int main(int argc, char** argv) {
     run.net().add_observer(&audit);
     run.wake_all();
     const auto r = run.run();
-    all_ok = all_ok && r.completed;
+    all_ok = all_ok && r.completed && core::check_final_state(run, g).ok();
     const double n = static_cast<double>(g.node_count());
     const double e0 = static_cast<double>(g.edge_count());
     const double lg = static_cast<double>(ceil_log2(g.node_count()));

@@ -61,7 +61,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const std::size_t n = sizes[i];
     const datapoint& d = results[i];
-    all_ok = all_ok && d.gen.completed && d.bnd.completed && d.adh.completed;
+    all_ok = all_ok && d.gen.completed && d.bnd.completed &&
+             d.adh.completed && d.gen.violations.empty() &&
+             d.bnd.violations.empty() && d.adh.violations.empty();
     const double dn = static_cast<double>(n);
     rep.add("generic", dn, static_cast<double>(d.gen.completion_time), dn);
     rep.add("bounded", dn, static_cast<double>(d.bnd.completion_time), dn);

@@ -45,7 +45,7 @@
 #include "core/checker.h"
 #include "core/runner.h"
 #include "graph/graphio.h"
-#include "graph/topology.h"
+#include "net/genspec.h"
 #include "telemetry/critical_path.h"
 #include "telemetry/health.h"
 #include "telemetry/perfetto.h"
@@ -118,26 +118,6 @@ sim::fault_plan parse_chaos(const std::string& spec) {
   return plan;
 }
 
-graph::digraph generate(const std::string& spec) {
-  std::istringstream ss(spec);
-  std::string kind;
-  std::getline(ss, kind, ':');
-  std::string tok;
-  std::size_t n = 0, extra = 0;
-  std::uint64_t seed = 1;
-  if (std::getline(ss, tok, ':')) n = num_u64("--gen N", tok);
-  if (std::getline(ss, tok, ':')) extra = num_u64("--gen EXTRA", tok);
-  if (std::getline(ss, tok, ':')) seed = num_u64("--gen SEED", tok);
-  if (n == 0) usage("--gen needs KIND:N");
-  if (kind == "random") return graph::random_weakly_connected(n, extra, seed);
-  if (kind == "tree") return graph::directed_binary_tree(n);
-  if (kind == "path") return graph::directed_path(n);
-  if (kind == "star_in") return graph::star_in(n);
-  if (kind == "star_out") return graph::star_out(n);
-  if (kind == "clique") return graph::clique(n);
-  usage("unknown --gen kind");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -178,7 +158,9 @@ int main(int argc, char** argv) {
 
   graph::digraph g;
   if (!gen_spec.empty()) {
-    g = generate(gen_spec);
+    net::genspec_result gen = net::parse_genspec(gen_spec);
+    if (!gen.ok()) usage(gen.error.c_str());
+    g = std::move(gen.graph);
   } else if (input == "-") {
     g = graph::read_edge_list(std::cin);
   } else if (!input.empty()) {

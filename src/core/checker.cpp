@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "common/bitmath.h"
+#include "common/flat_hash.h"
 #include "unionfind/ackermann.h"
 
 namespace asyncrd::core {
@@ -30,171 +31,77 @@ std::string done_mismatch(node_id lid, const std::set<node_id>& done,
   return ss.str();
 }
 
-}  // namespace
-
-std::string check_report::to_string() const {
-  std::ostringstream ss;
-  for (const auto& v : violations) ss << v << '\n';
-  return ss.str();
+/// A live node's member_state less its done set, which the verdict reads
+/// in place (done_of below): a leader's holds its whole component, and a
+/// copy would raise a large run's peak memory.
+member_state scalars(const node& nd) {
+  return {.id = nd.id(),
+          .status = nd.status(),
+          .next = nd.next(),
+          .has_deferred = nd.has_deferred(),
+          .has_pending = nd.pending_queue_depth() != 0,
+          .more_empty = nd.more().empty(),
+          .unaware_empty = nd.unaware().empty(),
+          .done = {}};
 }
 
-check_report check_final_state(const discovery_run& run,
-                               const graph::digraph& g) {
-  return check_final_state(run, g.weak_components());
-}
-
-check_report check_final_state(
-    const discovery_run& run,
-    const std::vector<std::vector<node_id>>& components) {
-  check_report rep;
+/// The §1.2 verdict, written once.  `lookup(v)` returns node v's
+/// member_state, or nothing when v was not reported; `done_of(m)` returns
+/// the done set of the leader whose state is `m`.  Violations are appended
+/// to `rep` component by component, members in list order.
+template <typename Lookup, typename DoneOf>
+void check_components(const std::vector<std::vector<node_id>>& components,
+                      variant algo, const Lookup& lookup,
+                      const DoneOf& done_of, check_report& rep) {
   auto fail = [&rep](const std::string& s) { rep.violations.push_back(s); };
-
-  for (const auto& comp : components) {
-    // --- property (4): exactly one leader per weakly connected component.
-    std::vector<node_id> leaders;
-    for (const node_id v : comp) {
-      const node& nd = run.at(v);
-      if (nd.status() == status_t::asleep)
-        fail(describe(v) + " never woke up");
-      if (nd.is_leader()) leaders.push_back(v);
-    }
-    if (leaders.size() != 1) {
-      std::ostringstream ss;
-      ss << "component of " << describe(comp.front()) << " has "
-         << leaders.size() << " leaders (expected 1)";
-      fail(ss.str());
-      continue;
-    }
-    const node_id lid = leaders.front();
-    const node& leader = run.at(lid);
-
-    // --- property (2): the leader knows the ids of all its nodes.
-    // At quiescence the explore loop has drained more/unexplored, so the
-    // leader's `done` must equal the component exactly.  `done` iterates
-    // ascending; so does a component from digraph::weak_components, and
-    // the two compare element by element.  Any other member list is sorted
-    // and deduplicated first.  The sets are built only to word a mismatch.
-    const flat_set<node_id>& done = leader.done();
-    std::vector<node_id> sorted;
-    const std::vector<node_id>* members = &comp;
-    if (std::adjacent_find(comp.begin(), comp.end(),
-                           std::greater_equal<>()) != comp.end()) {
-      sorted = comp;
-      std::sort(sorted.begin(), sorted.end());
-      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-      members = &sorted;
-    }
-    if (!std::equal(done.begin(), done.end(), members->begin(),
-                    members->end()))
-      fail(done_mismatch(lid, {done.begin(), done.end()},
-                         {comp.begin(), comp.end()}));
-    if (!leader.more().empty())
-      fail("leader " + std::to_string(lid) + " has a non-empty more set");
-    if (!leader.unaware().empty())
-      fail("leader " + std::to_string(lid) + " has a non-empty unaware set");
-
-    // --- properties (1) and (3)/(3a,3b): non-leaders are inactive and
-    // know / can reach the leader.
-    for (const node_id v : comp) {
-      if (v == lid) continue;
-      const node& nd = run.at(v);
-      if (nd.status() != status_t::inactive)
-        fail(describe(v) + " finished in state " +
-             std::string(to_string(nd.status())) + " (expected inactive)");
-      if (run.cfg().algo == variant::adhoc) {
-        // (3b): next pointers induce a directed path to the leader.
-        node_id cur = v;
-        std::size_t hops = 0;
-        while (cur != lid && hops <= comp.size()) {
-          const node_id nxt = run.at(cur).next();
-          if (nxt == cur) break;
-          cur = nxt;
-          ++hops;
-        }
-        if (cur != lid)
-          fail(describe(v) + " next-pointer chain does not reach leader " +
-               std::to_string(lid));
-      } else {
-        // (3): all nodes know the id of their leader directly.
-        if (nd.next() != lid)
-          fail(describe(v) + " next = " + std::to_string(nd.next()) +
-               " but leader is " + std::to_string(lid));
-      }
-      // No parked work may remain anywhere.
-      if (nd.has_deferred()) {
-        std::string types;
-        for (const auto& t : nd.deferred_types()) types += " " + t;
-        fail(describe(v) + " still holds deferred messages:" + types);
-      }
-      if (nd.pending_queue_depth() != 0)
-        fail(describe(v) + " still holds queued search/probe requests");
-    }
-    if (leader.has_deferred()) {
-      std::string types;
-      for (const auto& t : leader.deferred_types()) types += " " + t;
-      fail(describe(lid) + " (leader) still holds deferred messages:" + types);
-    }
-
-    // Bounded: Theorem 4 — the leader detects termination.
-    if (run.cfg().algo == variant::bounded &&
-        leader.status() != status_t::terminated)
-      fail("bounded leader " + std::to_string(lid) +
-           " did not detect termination");
-  }
-  return rep;
-}
-
-check_report check_membership(
-    const std::vector<member_state>& members,
-    const std::vector<std::vector<node_id>>& components, variant algo) {
-  check_report rep;
-  auto fail = [&rep](const std::string& s) { rep.violations.push_back(s); };
-
-  std::map<node_id, const member_state*> by_id;
-  for (const member_state& m : members) {
-    if (!by_id.emplace(m.id, &m).second)
-      fail(describe(m.id) + " reported twice");
-  }
 
   for (const auto& comp : components) {
     // --- property (4): exactly one leader per weakly connected component.
     std::vector<node_id> leaders;
     bool complete = true;
     for (const node_id v : comp) {
-      const auto it = by_id.find(v);
-      if (it == by_id.end()) {
+      const std::optional<member_state> m = lookup(v);
+      if (!m) {
         fail(describe(v) + " missing from the membership report");
         complete = false;
         continue;
       }
-      const member_state& m = *it->second;
-      if (m.status == status_t::asleep) fail(describe(v) + " never woke up");
-      if (m.is_leader()) leaders.push_back(v);
+      if (m->status == status_t::asleep) fail(describe(v) + " never woke up");
+      if (m->is_leader()) leaders.push_back(v);
     }
     if (!complete) continue;
     if (leaders.size() != 1) {
-      std::ostringstream ss;
-      ss << "component of " << describe(comp.front()) << " has "
-         << leaders.size() << " leaders (expected 1)";
-      fail(ss.str());
+      fail("component of " + describe(comp.front()) + " has " +
+           std::to_string(leaders.size()) + " leaders (expected 1)");
       continue;
     }
     const node_id lid = leaders.front();
-    const member_state& leader = *by_id.at(lid);
+    const member_state leader = *lookup(lid);
 
     // --- property (2): the leader knows the ids of all its nodes.
-    const std::set<node_id> done(leader.done.begin(), leader.done.end());
-    const std::set<node_id> expected(comp.begin(), comp.end());
-    if (done != expected) fail(done_mismatch(lid, done, expected));
+    // At quiescence the explore loop has drained more/unexplored, so the
+    // leader's `done` must equal the component, both taken as sets.  Done
+    // sets and components from digraph::weak_components ascend, and then
+    // compare element by element; sets are built only for any other member
+    // list and to word a mismatch.
+    const auto& done = done_of(leader);
+    if (std::adjacent_find(comp.begin(), comp.end(), std::greater_equal<>()) !=
+            comp.end() ||
+        !std::equal(done.begin(), done.end(), comp.begin(), comp.end())) {
+      const std::set<node_id> known(done.begin(), done.end()),
+          expected(comp.begin(), comp.end());
+      if (known != expected) fail(done_mismatch(lid, known, expected));
+    }
     if (!leader.more_empty)
       fail("leader " + std::to_string(lid) + " has a non-empty more set");
     if (!leader.unaware_empty)
       fail("leader " + std::to_string(lid) + " has a non-empty unaware set");
 
     // --- properties (1) and (3)/(3a,3b): non-leaders are inactive and
-    // know / can reach the leader.
+    // know / can reach the leader.  No parked work may remain anywhere.
     for (const node_id v : comp) {
-      const member_state& m = *by_id.at(v);
+      std::optional<member_state> other;
+      const member_state& m = v == lid ? leader : *(other = lookup(v));
       if (v != lid) {
         if (m.status != status_t::inactive)
           fail(describe(v) + " finished in state " +
@@ -204,24 +111,20 @@ check_report check_membership(
           node_id cur = v;
           std::size_t hops = 0;
           while (cur != lid && hops <= comp.size()) {
-            const auto cit = by_id.find(cur);
-            if (cit == by_id.end()) break;
-            const node_id nxt = cit->second->next;
-            if (nxt == cur) break;
-            cur = nxt;
+            const std::optional<member_state> c = lookup(cur);
+            if (!c || c->next == cur) break;
+            cur = c->next;
             ++hops;
           }
           if (cur != lid)
             fail(describe(v) + " next-pointer chain does not reach leader " +
                  std::to_string(lid));
-        } else {
+        } else if (m.next != lid) {
           // (3): all nodes know the id of their leader directly.
-          if (m.next != lid)
-            fail(describe(v) + " next = " + std::to_string(m.next) +
-                 " but leader is " + std::to_string(lid));
+          fail(describe(v) + " next = " + std::to_string(m.next) +
+               " but leader is " + std::to_string(lid));
         }
       }
-      // No parked work may remain anywhere.
       if (m.has_deferred)
         fail(describe(v) + " still holds deferred messages");
       if (m.has_pending)
@@ -233,6 +136,58 @@ check_report check_membership(
       fail("bounded leader " + std::to_string(lid) +
            " did not detect termination");
   }
+}
+
+}  // namespace
+
+std::string check_report::to_string() const {
+  std::ostringstream ss;
+  for (const auto& v : violations) ss << v << '\n';
+  return ss.str();
+}
+
+member_state snapshot(const node& nd) {
+  member_state m = scalars(nd);
+  m.done.assign(nd.done().begin(), nd.done().end());
+  return m;
+}
+
+check_report check_final_state(const discovery_run& run,
+                               const graph::digraph& g) {
+  return check_final_state(run, g.weak_components());
+}
+
+check_report check_final_state(
+    const discovery_run& run,
+    const std::vector<std::vector<node_id>>& components) {
+  check_report rep;
+  check_components(
+      components, run.cfg().algo,
+      [&run](node_id v) { return std::optional(scalars(run.at(v))); },
+      [&run](const member_state& m) -> const auto& {
+        return run.at(m.id).done();
+      },
+      rep);
+  return rep;
+}
+
+check_report check_membership(
+    const std::vector<member_state>& members,
+    const std::vector<std::vector<node_id>>& components, variant algo) {
+  check_report rep;
+  flat_u64_map index;  // id -> position in `members`; the first report wins
+  index.reserve(members.size());
+  for (std::uint32_t i = 0; i < members.size(); ++i)
+    if (!index.try_insert(members[i].id, i))
+      rep.violations.push_back(describe(members[i].id) + " reported twice");
+  check_components(
+      components, algo,
+      [&](node_id v) -> std::optional<member_state> {
+        const std::uint32_t i = index.find(v);
+        if (i == flat_u64_map::npos) return std::nullopt;
+        return members[i];
+      },
+      [](const member_state& m) -> const auto& { return m.done; }, rep);
   return rep;
 }
 

@@ -1,10 +1,12 @@
 // Verification of the Asynchronous Resource Discovery specification
 // (paper §1.2) against a finished or in-flight execution.
 //
-//  * check_final_state — the steady-state requirements: safety (1)-(3)
-//    [or (3a)/(3b) for Ad-hoc] plus liveness (4): exactly one leader per
-//    weakly connected component, the leader knows every id, every
-//    non-leader knows (or can reach, in the Ad-hoc relaxation) the leader.
+//  * check_final_state / check_membership — the steady-state requirements:
+//    safety (1)-(3) [or (3a)/(3b) for Ad-hoc] plus liveness (4): exactly
+//    one leader per weakly connected component, the leader knows every id,
+//    every non-leader knows (or can reach, in the Ad-hoc relaxation) the
+//    leader.  One verdict, over a live run's nodes or over the
+//    member_states a service-mode cluster reports.
 //  * liveness_monitor — checked after *every* delivery: at least one node
 //    per component remains in a leader state (Lemma 5.1).
 //  * check_message_bounds — Lemmas 5.5-5.8 per-message-type caps.
@@ -27,21 +29,11 @@ struct check_report {
   std::string to_string() const;
 };
 
-/// Verifies the final state of `run` against the weak components of `g`.
-/// Assumes every node was woken.  `g` must describe the final topology
-/// (including any dynamic additions).
-check_report check_final_state(const discovery_run& run,
-                               const graph::digraph& g);
-
-/// Same, against explicit component lists (each sorted ascending).
-check_report check_final_state(
-    const discovery_run& run,
-    const std::vector<std::vector<node_id>>& components);
-
-/// Portable snapshot of one node's checkable final state — what a
-/// service-mode process reports over the control plane (net/envelope.h
-/// dg_state) so the orchestrator can verify a cluster it does not host.
-/// Mirrors exactly the fields check_final_state reads off a live node.
+/// One node's checkable final state: what the §1.2 verdict reads of each
+/// node.  check_final_state reads it off a live node (a leader's done set
+/// in place); a service-mode process ships it to the orchestrator in a
+/// dg_state datagram (snapshot, net::put_state / net::read_state), so a
+/// cluster the orchestrator does not host is judged by the same verdict.
 struct member_state {
   node_id id = invalid_node;
   status_t status = status_t::asleep;
@@ -56,11 +48,22 @@ struct member_state {
   bool is_leader() const noexcept { return is_leader_status(status); }
 };
 
-/// check_final_state's logic over member_state snapshots instead of a live
-/// discovery_run: exactly one leader per weak component, leader's done set
-/// equals the component, non-leaders inactive and routed to the leader
-/// (next-pointer chain for adhoc), no parked work anywhere, bounded leader
-/// terminated.  Members missing from `members` are reported as violations.
+/// A live node's member_state; `done` comes out ascending.
+member_state snapshot(const node& nd);
+
+/// Verifies the final state of `run` against the weak components of `g`.
+/// Assumes every node was woken.  `g` must describe the final topology
+/// (including any dynamic additions).
+check_report check_final_state(const discovery_run& run,
+                               const graph::digraph& g);
+
+/// Same, against explicit component lists (members in any order).
+check_report check_final_state(
+    const discovery_run& run,
+    const std::vector<std::vector<node_id>>& components);
+
+/// The same verdict over reported member_states instead of a live run.
+/// Members missing from `members`, or reported twice, are violations too.
 check_report check_membership(
     const std::vector<member_state>& members,
     const std::vector<std::vector<node_id>>& components, variant algo);

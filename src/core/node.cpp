@@ -740,14 +740,6 @@ std::vector<node_id> node::known_members() const {
   return {c.begin(), c.end()};
 }
 
-std::vector<std::string> node::deferred_types() const {
-  std::vector<std::string> out;
-  out.reserve(deferred_.size());
-  for (const auto& [from, m] : deferred_)
-    out.emplace_back(m->type_name());
-  return out;
-}
-
 std::size_t node::memory_bytes() const noexcept {
   std::size_t bytes = heap_bytes(sizeof(node)) + local_.capacity_bytes() +
                       more_.capacity_bytes() + done_.capacity_bytes() +

@@ -136,8 +136,6 @@ class node final : public sim::process {
   }
   std::size_t pending_queue_depth() const noexcept { return previous_.size(); }
   bool has_deferred() const noexcept { return !deferred_.empty(); }
-  /// Type names of parked messages (diagnostics; empty when none).
-  std::vector<std::string> deferred_types() const;
 
   /// Heap bytes this node holds (common/heap.h): the object plus the
   /// buffers of its id sets, its routed-request queue, its deferred

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/bitmath.h"
+#include "core/checker.h"
 
 namespace asyncrd::core {
 
@@ -130,6 +131,7 @@ run_summary run_discovery(const graph::digraph& g, variant algo,
   s.by_type = run.statistics().by_type();
   s.leaders = run.leaders();
   s.completed = r.completed;
+  s.violations = check_final_state(run, g).violations;
   return s;
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/node.h"
@@ -137,10 +138,14 @@ struct run_summary {
   std::map<std::string, sim::type_stats, std::less<>> by_type;
   std::vector<node_id> leaders;
   bool completed = false;
+  /// The §1.2 checker's verdict on the final state (core/checker.h
+  /// check_final_state against g's weak components); empty iff it passed.
+  std::vector<std::string> violations;
 };
 
 /// Runs `algo` on `g` with uniformly random delays derived from `seed`
-/// (seed == 0 selects unit delays), waking all nodes at the start.
+/// (seed == 0 selects unit delays), waking all nodes at the start, and
+/// checks the final state against the §1.2 specification.
 run_summary run_discovery(const graph::digraph& g, variant algo,
                           std::uint64_t seed, trace_sink* trace = nullptr);
 

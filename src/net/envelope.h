@@ -32,6 +32,7 @@
 //   dg_status:    [proc][progress][outstanding][decode_errors]
 //   dg_finalize:  [finalize_magic]        loadgen -> child
 //   dg_state:     [proc][node][status][flags][next][id_set done]
+//                                         (put_state / read_state below)
 //   dg_state_end: [proc][total_messages][wire_frames][wire_bytes]
 //                 [decode_errors][now]
 //   dg_stop:      []                      loadgen -> child
@@ -42,7 +43,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "core/checker.h"
 #include "sim/reliable_link.h"
 #include "sim/wire.h"
 
@@ -78,5 +82,52 @@ inline constexpr std::uint8_t state_flag_deferred = 0x01;
 inline constexpr std::uint8_t state_flag_pending = 0x02;
 inline constexpr std::uint8_t state_flag_more_empty = 0x04;
 inline constexpr std::uint8_t state_flag_unaware_empty = 0x08;
+
+/// Appends the dg_state datagram, tag included, by which process `proc`
+/// reports member `m`.  Precondition: `m.done` ascends without repeats
+/// (core::snapshot's does); the decoder enforces it.
+inline void put_state(std::vector<std::uint8_t>& out, std::uint64_t proc,
+                      const core::member_state& m) {
+  out.push_back(dg_state);
+  sim::wire::put_varint(out, proc);
+  sim::wire::put_varint(out, m.id);
+  out.push_back(static_cast<std::uint8_t>(m.status));
+  out.push_back(static_cast<std::uint8_t>(
+      (m.has_deferred ? state_flag_deferred : 0) |
+      (m.has_pending ? state_flag_pending : 0) |
+      (m.more_empty ? state_flag_more_empty : 0) |
+      (m.unaware_empty ? state_flag_unaware_empty : 0)));
+  sim::wire::put_varint(out, m.next);
+  sim::wire::put_id_set(out, m.done);
+}
+
+/// Decodes a dg_state body (the bytes after the tag) into `m` and returns
+/// the reporting process's index.  Throws sim::wire::decode_error on what
+/// the reader and read_id_set reject (truncation, a zero delta, trailing
+/// bytes), on an id past node_id's range and on an unknown status.
+inline std::uint64_t read_state(sim::wire::reader& r, core::member_state& m) {
+  const auto id = [&r] {
+    const std::uint64_t v = r.varint();
+    if (v > std::numeric_limits<node_id>::max())
+      throw sim::wire::decode_error("dg_state: id exceeds the id range");
+    return static_cast<node_id>(v);
+  };
+  const std::uint64_t proc = r.varint();
+  m.id = id();
+  const std::uint8_t status = r.byte();
+  if (status > static_cast<std::uint8_t>(core::status_t::terminated))
+    throw sim::wire::decode_error("dg_state: unknown status");
+  m.status = static_cast<core::status_t>(status);
+  const std::uint8_t flags = r.byte();
+  m.has_deferred = (flags & state_flag_deferred) != 0;
+  m.has_pending = (flags & state_flag_pending) != 0;
+  m.more_empty = (flags & state_flag_more_empty) != 0;
+  m.unaware_empty = (flags & state_flag_unaware_empty) != 0;
+  m.next = id();
+  m.done.clear();
+  sim::wire::read_id_set(r, m.done);
+  r.expect_end();
+  return proc;
+}
 
 }  // namespace asyncrd::net

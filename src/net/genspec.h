@@ -3,8 +3,8 @@
 // Service mode derives one graph in several places — every discoveryd
 // process and the loadgen orchestrator must construct the *identical*
 // topology from the spec string alone (the graph is never shipped over the
-// wire) — so the parser lives here rather than per binary.  The grammar
-// matches examples/discovery_cli.cpp's --gen flag exactly; all numeric
+// wire) — so the parser lives here rather than per binary, and
+// examples/discovery_cli.cpp's --gen flag uses it too.  All numeric
 // fields go through the checked parser (common/parse.h), so a malformed
 // spec yields a named error, never an uncaught std::stoull.
 #pragma once

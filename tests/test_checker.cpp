@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/checker.h"
 #include "core/runner.h"
 #include "graph/topology.h"
+#include "net/envelope.h"
+#include "sim/wire.h"
 #include "test_util.h"
 
 namespace asyncrd {
@@ -156,21 +160,28 @@ TEST(Checker, ReportToStringListsEachViolation) {
 // the way a discoveryd process reports its nodes, breaks one property, and
 // pins the violation it must produce.
 
-/// Every node's checkable state, as net::node_host reports it (dg_state).
+/// Every node's checkable state, as a discoveryd process reports it.
 std::vector<core::member_state> snapshot(const core::discovery_run& run) {
   std::vector<core::member_state> out;
-  for (const node_id v : run.ids()) {
-    const core::node& nd = run.at(v);
-    core::member_state m;
-    m.id = v;
-    m.status = nd.status();
-    m.next = nd.next();
-    m.has_deferred = nd.has_deferred();
-    m.has_pending = nd.pending_queue_depth() != 0;
-    m.more_empty = nd.more().empty();
-    m.unaware_empty = nd.unaware().empty();
-    m.done.assign(nd.done().begin(), nd.done().end());
-    out.push_back(std::move(m));
+  for (const node_id v : run.ids()) out.push_back(core::snapshot(run.at(v)));
+  return out;
+}
+
+/// `members` after a trip through the dg_state datagram: encoded with
+/// net::put_state and decoded with net::read_state, as loadgen receives
+/// them.
+std::vector<core::member_state> over_the_wire(
+    const std::vector<core::member_state>& members) {
+  std::vector<core::member_state> out;
+  std::vector<std::uint8_t> datagram;
+  for (const core::member_state& m : members) {
+    datagram.clear();
+    net::put_state(datagram, 3, m);
+    EXPECT_EQ(datagram.front(), net::dg_state);
+    sim::wire::reader r(datagram.data() + 1, datagram.size() - 1);
+    core::member_state decoded;
+    EXPECT_EQ(net::read_state(r, decoded), 3u);
+    out.push_back(std::move(decoded));
   }
   return out;
 }
@@ -305,6 +316,21 @@ TEST(CheckMembership, FlagsDeferredAndPendingWork) {
                              " still holds queued search/probe requests\n");
 }
 
+// Parked work at the leader counts as much as at any member.
+TEST(CheckMembership, FlagsALeaderWithQueuedRequests) {
+  settled_members s(core::variant::generic);
+  s.at(s.leader).has_pending = true;
+  EXPECT_EQ(s.verdict(), "node " + std::to_string(s.leader) +
+                             " still holds queued search/probe requests\n");
+}
+
+TEST(CheckMembership, FlagsALeaderWithDeferredMessages) {
+  settled_members s(core::variant::bounded);
+  s.at(s.leader).has_deferred = true;
+  EXPECT_EQ(s.verdict(), "node " + std::to_string(s.leader) +
+                             " still holds deferred messages\n");
+}
+
 TEST(CheckMembership, FlagsABoundedLeaderThatDidNotTerminate) {
   settled_members s(core::variant::bounded);
   ASSERT_EQ(s.at(s.leader).status, core::status_t::terminated);
@@ -313,10 +339,12 @@ TEST(CheckMembership, FlagsABoundedLeaderThatDidNotTerminate) {
                              " did not detect termination\n");
 }
 
-// On a run's own snapshot, check_membership returns check_final_state's
-// list, violation for violation: on the three sparse-graph reproducers of
-// the §1.2 liveness bug (each fails in some variant while that bug stands)
-// and on a passing run, in all three variants.
+// The verdict survives the state datagram: on a run's snapshot, sent
+// through net::put_state and net::read_state, check_membership returns
+// check_final_state's list, violation for violation.  The cells are the
+// three sparse-graph reproducers of the §1.2 liveness bug (each fails in
+// some variant while that bug stands) and a passing run, in all three
+// variants.
 TEST(CheckMembership, MatchesCheckFinalStateOnTheSameRun) {
   struct cell {
     std::size_t n, extra;
@@ -339,13 +367,106 @@ TEST(CheckMembership, MatchesCheckFinalStateOnTheSameRun) {
       run.wake_all();
       run.run();
       EXPECT_EQ(
-          core::check_membership(snapshot(run), g.weak_components(), v)
+          core::check_membership(over_the_wire(snapshot(run)),
+                                 g.weak_components(), v)
               .violations,
           core::check_final_state(run, g).violations)
           << "random:" << c.n << ":" << c.extra << ":" << c.graph_seed
           << " --seed " << c.delay_seed << " --variant " << core::to_string(v);
     }
   }
+}
+
+// The live path words parked work as the service path does: every member,
+// the leader included, in component order.  A settled run gets a
+// merge_fail at its leader and at the lowest and highest other ids; no
+// settled state consumes one, so each parks it.
+TEST(Checker, NamesDeferredMessagesOnEveryMemberInComponentOrder) {
+  const graph::digraph& g = settled_graph();
+  sim::unit_delay_scheduler sched;
+  core::config cfg;
+  core::discovery_run run(g, cfg, sched);
+  run.wake_all();
+  run.run();
+  ASSERT_TRUE(core::check_final_state(run, g).ok());
+  const node_id leader = run.leaders().front();
+  const std::vector<node_id> parked = {0, leader, 19};
+  // The leader is listed mid-way, and the sender, node 1, parks nothing.
+  ASSERT_TRUE(leader > 1 && leader < 19);
+  sim::context ctx(run.net(), 1);
+  for (const node_id v : parked)
+    ctx.send(v, sim::make_message<core::merge_fail_msg>());
+  run.net().run_to_quiescence();
+  std::string expected;
+  for (const node_id v : parked) {
+    ASSERT_TRUE(run.at(v).has_deferred()) << "node " << v;
+    expected += "node " + std::to_string(v) + " still holds deferred messages\n";
+  }
+  EXPECT_EQ(core::check_final_state(run, g).to_string(), expected);
+}
+
+// ----------------------------------------------------- dg_state datagram
+
+TEST(StateDatagram, SettledMembersRoundTripUnchanged) {
+  for (const core::variant v : {core::variant::generic,
+                                core::variant::bounded,
+                                core::variant::adhoc}) {
+    settled_members s(v);
+    s.at(s.leaf).has_deferred = true;  // every flag bit takes both values
+    s.at(s.leaf).has_pending = true;
+    const std::vector<core::member_state> decoded = over_the_wire(s.members);
+    ASSERT_EQ(decoded.size(), s.members.size());
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      const core::member_state& a = s.members[i];
+      const core::member_state& b = decoded[i];
+      EXPECT_EQ(std::tie(a.id, a.status, a.next, a.has_deferred,
+                         a.has_pending, a.more_empty, a.unaware_empty, a.done),
+                std::tie(b.id, b.status, b.next, b.has_deferred,
+                         b.has_pending, b.more_empty, b.unaware_empty, b.done))
+          << core::to_string(v) << " node " << a.id;
+    }
+  }
+}
+
+/// Decodes a dg_state body (the bytes after the tag).
+void decode_state(const std::vector<std::uint8_t>& body) {
+  sim::wire::reader r(body.data(), body.size());
+  core::member_state m;
+  net::read_state(r, m);
+}
+
+TEST(StateDatagram, RejectsMalformedBodies) {
+  core::member_state m;
+  m.id = 7;
+  m.status = core::status_t::inactive;
+  m.next = 9;
+  m.done = {1, 4};
+  std::vector<std::uint8_t> datagram;
+  net::put_state(datagram, 0, m);
+  const std::vector<std::uint8_t> body(datagram.begin() + 1, datagram.end());
+  ASSERT_NO_THROW(decode_state(body));
+  // Layout: [proc 0][id 7][status][flags][next 9][count 2][1][delta 3].
+  ASSERT_EQ(body, (std::vector<std::uint8_t>{0, 7, 6, 0x0C, 9, 2, 1, 3}));
+
+  const std::vector<std::uint8_t> truncated(body.begin(), body.end() - 1);
+  EXPECT_THROW(decode_state(truncated), sim::wire::decode_error);
+
+  std::vector<std::uint8_t> trailing = body;
+  trailing.push_back(0);
+  EXPECT_THROW(decode_state(trailing), sim::wire::decode_error);
+
+  std::vector<std::uint8_t> bad_status = body;
+  bad_status[2] = 0xFF;
+  EXPECT_THROW(decode_state(bad_status), sim::wire::decode_error);
+
+  // Id 2^32 as a varint: four continuation bytes of zero, then 0x10.
+  std::vector<std::uint8_t> wide_id = {0, 0x80, 0x80, 0x80, 0x80, 0x10};
+  wide_id.insert(wide_id.end(), body.begin() + 2, body.end());
+  EXPECT_THROW(decode_state(wide_id), sim::wire::decode_error);
+
+  std::vector<std::uint8_t> unsorted = body;
+  unsorted.back() = 0;  // a zero delta repeats id 1
+  EXPECT_THROW(decode_state(unsorted), sim::wire::decode_error);
 }
 
 }  // namespace

@@ -61,21 +61,18 @@ struct cluster {
     return false;
   }
 
-  /// Snapshots every node exactly as discoveryd serializes it (dg_state).
+  /// Every node's state as loadgen receives it: discoveryd's dg_state
+  /// datagram (net::put_state), decoded by net::read_state.
   std::vector<core::member_state> members() const {
     std::vector<core::member_state> out;
-    for (const auto& h : hosts) {
-      for (const node_id v : h->local_nodes()) {
-        const core::node& nd = h->at(v);
+    std::vector<std::uint8_t> datagram;
+    for (std::size_t p = 0; p < hosts.size(); ++p) {
+      for (const node_id v : hosts[p]->local_nodes()) {
+        datagram.clear();
+        net::put_state(datagram, p, core::snapshot(hosts[p]->at(v)));
+        sim::wire::reader r(datagram.data() + 1, datagram.size() - 1);
         core::member_state m;
-        m.id = v;
-        m.status = nd.status();
-        m.next = nd.next();
-        m.has_deferred = nd.has_deferred();
-        m.has_pending = nd.pending_queue_depth() != 0;
-        m.more_empty = nd.more().empty();
-        m.unaware_empty = nd.unaware().empty();
-        m.done.assign(nd.done().begin(), nd.done().end());
+        EXPECT_EQ(net::read_state(r, m), p);
         out.push_back(std::move(m));
       }
     }

@@ -17,7 +17,7 @@
 //   3. answer dg_status_req with progress/outstanding/decode-error
 //      counters (the orchestrator's convergence detector);
 //   4. on dg_finalize, report every local node's checkable final state
-//      (core::check_membership's member_state, one dg_state each) and the
+//      (core::snapshot, one net::put_state datagram each) and the
 //      process totals (dg_state_end), and write the --json run report —
 //      the same schema simulation runs emit, json_check --report valid;
 //   5. exit 0 on dg_stop.
@@ -29,7 +29,6 @@
 //
 // Exit codes: 0 stopped cleanly, 1 runtime failure (socket error, orphaned
 // by the orchestrator), 2 usage.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -38,7 +37,7 @@
 #include <vector>
 
 #include "common/parse.h"
-#include "core/node.h"
+#include "core/checker.h"
 #include "net/envelope.h"
 #include "net/genspec.h"
 #include "net/node_host.h"
@@ -70,15 +69,6 @@ std::uint64_t num_u64(const std::string& flag, const std::string& text) {
     usage((flag + ": expected a non-negative integer, got '" + text + "'")
               .c_str());
   return *v;
-}
-
-/// Sorted strictly-increasing copy of a node id set (put_id_set precondition).
-template <typename Range>
-std::vector<node_id> sorted_ids(const Range& ids) {
-  std::vector<node_id> v(ids.begin(), ids.end());
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  return v;
 }
 
 }  // namespace
@@ -145,20 +135,8 @@ int main(int argc, char** argv) {
 
     const auto send_states = [&]() {
       for (const node_id v : host.local_nodes()) {
-        const core::node& nd = host.at(v);
         out.clear();
-        out.push_back(net::dg_state);
-        sim::wire::put_varint(out, index);
-        sim::wire::put_varint(out, v);
-        out.push_back(static_cast<std::uint8_t>(nd.status()));
-        std::uint8_t flags = 0;
-        if (nd.has_deferred()) flags |= net::state_flag_deferred;
-        if (nd.pending_queue_depth() != 0) flags |= net::state_flag_pending;
-        if (nd.more().empty()) flags |= net::state_flag_more_empty;
-        if (nd.unaware().empty()) flags |= net::state_flag_unaware_empty;
-        out.push_back(flags);
-        sim::wire::put_varint(out, nd.next());
-        sim::wire::put_id_set(out, sorted_ids(nd.done()));
+        net::put_state(out, index, core::snapshot(host.at(v)));
         reply();
       }
       out.clear();

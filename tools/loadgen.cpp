@@ -18,10 +18,10 @@
 //   4. poll dg_status_req until the cluster converges: every process
 //      reports zero outstanding work and cluster-wide progress is
 //      unchanged across two consecutive complete rounds;
-//   5. dg_finalize: collect every node's member_state and verify the
-//      discovery result with core::check_membership — the same paper
-//      properties (exactly one leader per weak component, complete done
-//      set, routed non-leaders, no parked work) sim tests assert;
+//   5. dg_finalize: collect every node's member_state (net::read_state)
+//      and verify the discovery result with core::check_membership — the
+//      simulator's §1.2 verdict (exactly one leader per weak component,
+//      complete done set, routed non-leaders, no parked work);
 //   6. run the in-process simulator twin (same graph, same variant) and
 //      emit BENCH_service_loopback.json with the convergence time, the
 //      service's messages, frames and wire bytes, and the twin's message
@@ -251,18 +251,7 @@ int main(int argc, char** argv) {
             }
             case net::dg_state: {
               core::member_state m;
-              const std::uint64_t idx = r.varint();
-              if (idx >= procs) break;
-              m.id = static_cast<node_id>(r.varint());
-              m.status = static_cast<core::status_t>(r.byte());
-              const std::uint8_t flags = r.byte();
-              m.has_deferred = (flags & net::state_flag_deferred) != 0;
-              m.has_pending = (flags & net::state_flag_pending) != 0;
-              m.more_empty = (flags & net::state_flag_more_empty) != 0;
-              m.unaware_empty = (flags & net::state_flag_unaware_empty) != 0;
-              m.next = static_cast<node_id>(r.varint());
-              sim::wire::read_id_set(r, m.done);
-              r.expect_end();
+              if (net::read_state(r, m) >= procs) break;
               // Idempotent finalize: children re-send on every dg_finalize,
               // so the first copy of each node's state wins.
               if (member_ids.insert(m.id).second)
