@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/bitmath.h"
-#include "net/envelope.h"
 #include "sim/wire.h"
 
 namespace asyncrd::net {
@@ -82,7 +81,7 @@ void node_host::on_deliver_remote(node_id to, node_id from,
 void node_host::start() {
   if (peer_ports_.empty())
     throw std::logic_error("node_host: start() before set_peers()");
-  if (started_) return;  // idempotent: the control plane may re-send START
+  if (started_) return;
   started_ = true;
   for (const node_id v : local_) net_.wake(v);
   const sim::run_result res = net_.run_to_quiescence();
@@ -91,18 +90,10 @@ void node_host::start() {
 
 void node_host::pump() {
   transport_.advance_to(clock_.ticks());
-  endpoint from;
   for (;;) {
-    const std::ptrdiff_t n = sock_.recv_from(from, rxbuf_.data(),
-                                             rxbuf_.size());
+    const std::ptrdiff_t n = sock_.recv(rxbuf_.data(), rxbuf_.size());
     if (n < 0) break;
-    const auto len = static_cast<std::size_t>(n);
-    if (len > 0 && is_control_tag(rxbuf_[0])) {
-      if (!control_ || !control_(from, rxbuf_.data(), len))
-        transport_.count_decode_error();
-    } else {
-      transport_.on_datagram(rxbuf_.data(), len);
-    }
+    transport_.on_datagram(rxbuf_.data(), static_cast<std::size_t>(n));
   }
   // Injected deliveries queued follow-on local work; drain it, emitting
   // further remote sends through the gateway as it goes.
@@ -110,15 +101,18 @@ void node_host::pump() {
   events_ += res.events_processed;
 }
 
-void node_host::poll_once(int max_wait_ms) {
-  int wait = max_wait_ms;
+int node_host::wait_ms(int max_ms) const {
   const sim::sim_time dl = transport_.next_deadline();
-  if (dl != static_cast<sim::sim_time>(-1)) {
-    const sim::sim_time now = clock_.ticks();
-    const std::uint64_t ahead_ms = dl > now ? (dl - now) / 10 : 0;
-    if (ahead_ms < static_cast<std::uint64_t>(wait))
-      wait = static_cast<int>(ahead_ms);
-  }
+  if (dl == static_cast<sim::sim_time>(-1)) return max_ms;
+  const sim::sim_time now = clock_.ticks();
+  const std::uint64_t ahead_ms = dl > now ? (dl - now) / 10 : 0;
+  return ahead_ms < static_cast<std::uint64_t>(max_ms)
+             ? static_cast<int>(ahead_ms)
+             : max_ms;
+}
+
+void node_host::poll_once(int max_wait_ms) {
+  const int wait = wait_ms(max_wait_ms);
   if (wait > 0) wait_readable(sock_.fd(), wait);
   pump();
 }

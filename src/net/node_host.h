@@ -26,15 +26,14 @@
 // their true component sizes), and the engine cannot tell a remote
 // neighbor from a local one.
 //
-// Control datagrams (net/envelope.h, tags 0xC1..0xC9) are not handled
-// here: pump() routes them to an optional callback so the discoveryd
-// binary owns orchestration while in-process tests drive hosts directly.
-// If the callback declines a control datagram (wrong source endpoint), it
-// is counted as a decode drop like any other garbage.
+// Every datagram on the data socket is data-plane traffic: whatever fails
+// the grammar — a control tag included — is a counted decode drop.
+// Orchestration is not handled here: discoveryd speaks the control records
+// of net/envelope.h on its own stream and calls pump() between them, while
+// in-process tests and perfbench drive hosts directly.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -53,12 +52,6 @@ namespace asyncrd::net {
 
 class node_host {
  public:
-  /// True when the callback consumed the control datagram; false routes it
-  /// to the decode-drop counter (untrusted source, malformed).
-  using control_fn =
-      std::function<bool(const endpoint& from, const std::uint8_t* data,
-                         std::size_t len)>;
-
   /// Builds this process's shard of the cluster: `proc` of `procs` total,
   /// hosting every node v of `g` with v % procs == proc.  The graph and
   /// config must outlive the host.  Binds the data socket to an ephemeral
@@ -80,17 +73,9 @@ class node_host {
 
   /// Installs the node -> data-port map (index p owns port peer_ports[p]).
   void set_peers(std::vector<std::uint16_t> peer_ports);
-  void set_control(control_fn f) { control_ = std::move(f); }
   /// Test hooks, forwarded to the transport.
   udp_transport& transport() noexcept { return transport_; }
   const sim::reliable_link_layer& arq() const noexcept { return arq_; }
-
-  /// Sends one raw datagram from the data socket (control-plane replies;
-  /// best-effort like everything UDP).
-  bool send_control(const endpoint& to, const std::uint8_t* data,
-                    std::size_t len) {
-    return sock_.send_to(to, data, len);
-  }
 
   /// Wakes every local node and drains the first burst of sends.
   /// Requires set_peers() first.
@@ -100,6 +85,10 @@ class node_host {
   /// One service iteration: advance retransmit timers to the wall clock,
   /// drain pending datagrams, run the simulator to quiescence.
   void pump();
+
+  /// Milliseconds until the next retransmit deadline, capped at max_ms: how
+  /// long a caller may sleep on fd() before the next pump() is due.
+  int wait_ms(int max_ms) const;
 
   /// Sleeps until the socket is readable, the next retransmit deadline, or
   /// max_wait_ms — whichever is first — then pump()s.
@@ -150,7 +139,6 @@ class node_host {
   sim::unit_delay_scheduler sched_;
   sim::network net_;
 
-  control_fn control_;
   std::vector<node_id> local_;
   std::vector<core::node*> nodes_;  ///< parallel to local_; owned by net_
   std::vector<std::uint16_t> peer_ports_;

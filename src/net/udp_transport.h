@@ -120,10 +120,6 @@ class udp_transport final : public sim::transport {
                            : timers_.top().deadline;
   }
 
-  /// External decode failure (e.g. a control datagram from an untrusted
-  /// endpoint) accounted alongside the transport's own.
-  void count_decode_error() noexcept { ++counters_.decode_errors; }
-
   const counters& stats() const noexcept { return counters_; }
 
  private:

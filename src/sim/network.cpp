@@ -241,13 +241,7 @@ void network::take_step(const manual_step& s) {
   const std::uint32_t to_index = ch.to_index;
   retire_if_empty(ci);
   // Callbacks may open channels (the slab may reallocate): ch is dead now.
-  ensure_awake(to_index, q.sent_in, q.released_in);
-  notify({event_record::kind::deliver, now_, s.a, s.b, q.m.get(),
-          begin_activation(), q.sent_in, q.released_in, q.sent_at});
-  ++app_deliveries_;
-  context ctx(*this, s.b);
-  slots_[to_index].proc->on_message(ctx, s.a, q.m);
-  end_activation();
+  deliver(to_index, s.a, s.b, q.m, q.sent_in, q.released_in, q.sent_at);
 }
 
 void network::block_sender(node_id id) {
@@ -467,13 +461,7 @@ void network::inject_remote(node_id to, node_id from, const message_ptr& m) {
   // causal parents are none — the sending activation lives in another
   // process; cross-process genealogy is the trace merger's job, not ours.
   ++now_;
-  ensure_awake(to_index, event_record::none, event_record::none);
-  notify({event_record::kind::deliver, now_, from, to, m.get(),
-          begin_activation(), event_record::none, event_record::none, now_});
-  ++app_deliveries_;
-  context ctx(*this, to);
-  slots_[to_index].proc->on_message(ctx, from, m);
-  end_activation();
+  deliver(to_index, from, to, m, event_record::none, event_record::none, now_);
 }
 
 void network::schedule_adapter_timer(sim_time delay, std::uint64_t key) {
@@ -531,6 +519,27 @@ void network::ensure_awake(std::uint32_t idx, std::uint64_t cause,
   end_activation();
 }
 
+void network::deliver(std::uint32_t to_index, node_id from, node_id to,
+                      const message_ptr& m, std::uint64_t cause,
+                      std::uint64_t release, sim_time sent_at) {
+  // A message-induced wake shares the arriving message's causes.
+  ensure_awake(to_index, cause, release);
+  notify({event_record::kind::deliver, now_, from, to, m.get(),
+          begin_activation(), cause, release, sent_at});
+  if (adapter_ != nullptr) {
+    // Transport-level arrival: the adapter dedups/reorders and releases
+    // application messages via app_deliver inside this activation.
+    prof_scope ps(prof_, cost_profiler::phase::arq);
+    adapter_->transport_deliver(from, to, m);
+  } else {
+    ++app_deliveries_;
+    context ctx(*this, to);
+    prof_scope ps(prof_, m->dispatch_tag(), prof_scope::tag_t{});
+    slots_[to_index].proc->on_message(ctx, from, m);
+  }
+  end_activation();
+}
+
 void network::dispatch(const event& ev) {
   now_ = ev.at;
   switch (ev.kind) {
@@ -550,22 +559,7 @@ void network::dispatch(const event& ev) {
       const std::uint32_t to_index = ch.to_index;
       retire_if_empty(ev.target);
       // Callbacks may open channels (the slab may reallocate): ch is dead.
-      // A message-induced wake shares the arriving message's causes.
-      ensure_awake(to_index, q.sent_in, q.released_in);
-      notify({event_record::kind::deliver, now_, from, to, q.m.get(),
-              begin_activation(), q.sent_in, q.released_in, q.sent_at});
-      if (adapter_ != nullptr) {
-        // Transport-level arrival: the adapter dedups/reorders and releases
-        // application messages via app_deliver inside this activation.
-        prof_scope ps(prof_, cost_profiler::phase::arq);
-        adapter_->transport_deliver(from, to, q.m);
-      } else {
-        ++app_deliveries_;
-        context ctx(*this, to);
-        prof_scope ps(prof_, q.m->dispatch_tag(), prof_scope::tag_t{});
-        slots_[to_index].proc->on_message(ctx, from, q.m);
-      }
-      end_activation();
+      deliver(to_index, from, to, q.m, q.sent_in, q.released_in, q.sent_at);
       break;
     }
     case event_kind::timer: {

@@ -611,6 +611,13 @@ class network : public transport {
 
   void ensure_awake(std::uint32_t idx, std::uint64_t cause,
                     std::uint64_t release);
+  /// One delivery activation of `m` at slot `to_index`: wakes the node on
+  /// first contact, publishes the delivery record, and hands `m` to the
+  /// link adapter if one is installed, else to the node's handler.  The
+  /// scheduled, stepped and remote deliveries all come through here.
+  void deliver(std::uint32_t to_index, node_id from, node_id to,
+               const message_ptr& m, std::uint64_t cause,
+               std::uint64_t release, sim_time sent_at);
   /// Fires every due probe and recomputes next_probe_ (the cached minimum
   /// the hot loop compares against).
   void fire_probes();

@@ -167,21 +167,19 @@ std::vector<core::member_state> snapshot(const core::discovery_run& run) {
   return out;
 }
 
-/// `members` after a trip through the dg_state datagram: encoded with
+/// `members` after a trip through the dg_state record: encoded with
 /// net::put_state and decoded with net::read_state, as loadgen receives
 /// them.
 std::vector<core::member_state> over_the_wire(
     const std::vector<core::member_state>& members) {
   std::vector<core::member_state> out;
-  std::vector<std::uint8_t> datagram;
+  std::vector<std::uint8_t> record;
   for (const core::member_state& m : members) {
-    datagram.clear();
-    net::put_state(datagram, 3, m);
-    EXPECT_EQ(datagram.front(), net::dg_state);
-    sim::wire::reader r(datagram.data() + 1, datagram.size() - 1);
-    core::member_state decoded;
-    EXPECT_EQ(net::read_state(r, decoded), 3u);
-    out.push_back(std::move(decoded));
+    record.clear();
+    net::put_state(record, m);
+    EXPECT_EQ(record.front(), net::dg_state);
+    sim::wire::reader r(record.data() + 1, record.size() - 1);
+    net::read_state(r, out.emplace_back());
   }
   return out;
 }
@@ -339,7 +337,7 @@ TEST(CheckMembership, FlagsABoundedLeaderThatDidNotTerminate) {
                              " did not detect termination\n");
 }
 
-// The verdict survives the state datagram: on a run's snapshot, sent
+// The verdict survives the state record: on a run's snapshot, sent
 // through net::put_state and net::read_state, check_membership returns
 // check_final_state's list, violation for violation.  The cells are the
 // three sparse-graph reproducers of the §1.2 liveness bug (each fails in
@@ -405,7 +403,7 @@ TEST(Checker, NamesDeferredMessagesOnEveryMemberInComponentOrder) {
   EXPECT_EQ(core::check_final_state(run, g).to_string(), expected);
 }
 
-// ----------------------------------------------------- dg_state datagram
+// ------------------------------------------------------- dg_state record
 
 TEST(StateDatagram, SettledMembersRoundTripUnchanged) {
   for (const core::variant v : {core::variant::generic,
@@ -441,12 +439,12 @@ TEST(StateDatagram, RejectsMalformedBodies) {
   m.status = core::status_t::inactive;
   m.next = 9;
   m.done = {1, 4};
-  std::vector<std::uint8_t> datagram;
-  net::put_state(datagram, 0, m);
-  const std::vector<std::uint8_t> body(datagram.begin() + 1, datagram.end());
+  std::vector<std::uint8_t> record;
+  net::put_state(record, m);
+  const std::vector<std::uint8_t> body(record.begin() + 1, record.end());
   ASSERT_NO_THROW(decode_state(body));
-  // Layout: [proc 0][id 7][status][flags][next 9][count 2][1][delta 3].
-  ASSERT_EQ(body, (std::vector<std::uint8_t>{0, 7, 6, 0x0C, 9, 2, 1, 3}));
+  // Layout: [id 7][status][flags][next 9][count 2][1][delta 3].
+  ASSERT_EQ(body, (std::vector<std::uint8_t>{7, 6, 0x0C, 9, 2, 1, 3}));
 
   const std::vector<std::uint8_t> truncated(body.begin(), body.end() - 1);
   EXPECT_THROW(decode_state(truncated), sim::wire::decode_error);
@@ -456,12 +454,12 @@ TEST(StateDatagram, RejectsMalformedBodies) {
   EXPECT_THROW(decode_state(trailing), sim::wire::decode_error);
 
   std::vector<std::uint8_t> bad_status = body;
-  bad_status[2] = 0xFF;
+  bad_status[1] = 0xFF;
   EXPECT_THROW(decode_state(bad_status), sim::wire::decode_error);
 
   // Id 2^32 as a varint: four continuation bytes of zero, then 0x10.
-  std::vector<std::uint8_t> wide_id = {0, 0x80, 0x80, 0x80, 0x80, 0x10};
-  wide_id.insert(wide_id.end(), body.begin() + 2, body.end());
+  std::vector<std::uint8_t> wide_id = {0x80, 0x80, 0x80, 0x80, 0x10};
+  wide_id.insert(wide_id.end(), body.begin() + 1, body.end());
   EXPECT_THROW(decode_state(wide_id), sim::wire::decode_error);
 
   std::vector<std::uint8_t> unsorted = body;

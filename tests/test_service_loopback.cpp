@@ -9,12 +9,16 @@
 //
 // Also covered here: the garbage-datagram contract (malformed and
 // misaddressed datagrams are counted decode drops and never disturb
-// convergence) and the run-report shape service shards emit.
+// convergence), the run-report shape service shards emit, and the record
+// stream that carries loadgen's control records.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -43,7 +47,8 @@ struct cluster {
 
   /// Pumps every shard until cluster-wide quiescence (zero outstanding and
   /// progress stable across two consecutive rounds) — the same convergence
-  /// predicate loadgen evaluates over the control plane.  False on timeout.
+  /// predicate loadgen evaluates over the control streams.  False on
+  /// timeout.
   bool converge(int timeout_ms = 30000) {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
@@ -62,18 +67,16 @@ struct cluster {
   }
 
   /// Every node's state as loadgen receives it: discoveryd's dg_state
-  /// datagram (net::put_state), decoded by net::read_state.
+  /// record (net::put_state), decoded by net::read_state.
   std::vector<core::member_state> members() const {
     std::vector<core::member_state> out;
-    std::vector<std::uint8_t> datagram;
-    for (std::size_t p = 0; p < hosts.size(); ++p) {
-      for (const node_id v : hosts[p]->local_nodes()) {
-        datagram.clear();
-        net::put_state(datagram, p, core::snapshot(hosts[p]->at(v)));
-        sim::wire::reader r(datagram.data() + 1, datagram.size() - 1);
-        core::member_state m;
-        EXPECT_EQ(net::read_state(r, m), p);
-        out.push_back(std::move(m));
+    std::vector<std::uint8_t> record;
+    for (const auto& h : hosts) {
+      for (const node_id v : h->local_nodes()) {
+        record.clear();
+        net::put_state(record, core::snapshot(h->at(v)));
+        sim::wire::reader r(record.data() + 1, record.size() - 1);
+        net::read_state(r, out.emplace_back());
       }
     }
     return out;
@@ -140,8 +143,8 @@ TEST(ServiceLoopback, GarbageDatagramsAreCountedAndHarmless) {
   cluster c(gen.graph, cfg, 2, 5);
 
   // Blast junk at both shards' data ports mid-run from a foreign socket:
-  // random noise, truncated ARQ envelopes, and control-plane tags (no
-  // control callback is installed, and the source is untrusted anyway).
+  // random noise, truncated ARQ envelopes, and control tags, which mean
+  // nothing on UDP.
   net::udp_socket junk_sock;
   junk_sock.bind_loopback();
   rng grng(0xBADC0FFEEull);
@@ -153,7 +156,7 @@ TEST(ServiceLoopback, GarbageDatagramsAreCountedAndHarmless) {
       switch (round % 3) {
         case 0: junk.push_back(static_cast<std::uint8_t>(grng.next())); break;
         case 1: junk.push_back(0xE7); break;           // truncated data
-        case 2: junk.push_back(net::dg_status_req); break;  // stray control
+        case 2: junk.push_back(net::dg_status_req); break;  // control tag
       }
       const std::uint64_t pad = grng.below(24);
       for (std::uint64_t b = 0; b < pad; ++b)
@@ -199,6 +202,33 @@ TEST(ServiceLoopback, ShardReportCarriesServiceCounters) {
   const std::string json = rep.to_json();
   EXPECT_NE(json.find("\"decode_errors\""), std::string::npos);
   EXPECT_NE(json.find("\"wire\""), std::string::npos);
+}
+
+// Records come back whole and in order, whatever their size — an empty
+// one, and one larger than a datagram and than one read — and across reads
+// that split a record.  The end of the stream reads as the peer gone.
+TEST(RecordStream, DeliversWholeRecordsInOrderThenSeesThePeerGo) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+  net::record_stream a(sv[0]), b(sv[1]);
+  std::vector<std::vector<std::uint8_t>> sent = {
+      {}, {net::dg_status_req}, std::vector<std::uint8_t>(100000, 0xAB)};
+  for (std::size_t k = 0; k < sent[2].size(); k += 7)
+    sent[2][k] = static_cast<std::uint8_t>(k);
+  // 100 KB is more than the socket buffers hold: write from a thread.
+  std::thread writer([&] {
+    for (const auto& r : sent) EXPECT_TRUE(a.send(r));
+  });
+  std::vector<std::uint8_t> rec;
+  for (const auto& want : sent) {
+    while (!b.next(rec)) ASSERT_TRUE(b.fill(1000));
+    EXPECT_EQ(rec, want);
+  }
+  writer.join();
+  EXPECT_FALSE(b.next(rec));
+  ::close(sv[0]);
+  EXPECT_FALSE(b.fill(1000));
+  ::close(sv[1]);
 }
 
 }  // namespace

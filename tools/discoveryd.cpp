@@ -1,38 +1,44 @@
 // discoveryd — one OS process's share of a service-mode discovery cluster.
 //
 //   discoveryd --gen KIND:N[:EXTRA[:SEED]] --procs P --index I
-//              --control PORT [--variant generic|bounded|adhoc]
-//              [--seed S] [--json PATH] [--quiet]
+//              [--variant generic|bounded|adhoc] [--seed S] [--json PATH]
+//              [--quiet]
 //
 // Runs the nodes {v : v mod P == I} of the generated topology over real
-// UDP loopback sockets (src/net/node_host.h) and speaks the control plane
-// of net/envelope.h with the orchestrator listening on 127.0.0.1:PORT
-// (tools/loadgen.cpp, or anything else that implements it):
+// UDP loopback sockets (src/net/node_host.h).  Its stdin is the control
+// stream from the orchestrator (tools/loadgen.cpp, which makes one
+// socketpair per child), and it speaks the control records of
+// net/envelope.h there:
 //
-//   1. announce the data socket by sending dg_hello from it (repeated
-//      until dg_portmap arrives — the control plane rides the same lossy
-//      UDP as the data plane and is loss-tolerant by idempotence);
+//   1. announce the data port (dg_hello);
 //   2. accept dg_portmap (node -> port routing) and dg_start (wake the
-//      local nodes), then serve discovery traffic;
+//      local nodes), then serve discovery traffic — the data socket is
+//      pumped only once mapped, so that the first datagram finds its
+//      routes;
 //   3. answer dg_status_req with progress/outstanding/decode-error
 //      counters (the orchestrator's convergence detector);
 //   4. on dg_finalize, report every local node's checkable final state
-//      (core::snapshot, one net::put_state datagram each) and the
-//      process totals (dg_state_end), and write the --json run report —
-//      the same schema simulation runs emit, json_check --report valid;
+//      (core::snapshot, one net::put_state record each) and the process
+//      totals (dg_state_end), and write the --json run report — the same
+//      schema simulation runs emit, json_check --report valid;
 //   5. exit 0 on dg_stop.
 //
-// Trust: control datagrams are honored only from the --control endpoint;
-// anything else that looks like control — or any datagram that fails the
-// wire-frame grammar — is counted as a decode drop and otherwise ignored
-// (the garbage-injection tests drive this path).
+// Trust: only the data socket faces the network.  Any datagram that fails
+// the wire-frame grammar, control-looking bytes included, is counted as a
+// decode drop and otherwise ignored (the garbage-injection tests drive
+// this path).  A malformed control record can only come from the
+// orchestrator itself: it ends the process.
 //
-// Exit codes: 0 stopped cleanly, 1 runtime failure (socket error, orphaned
-// by the orchestrator), 2 usage.
-#include <chrono>
+// Exit codes: 0 stopped cleanly, 1 runtime failure (socket error, a
+// malformed control record, the stream closed: the orchestrator is gone),
+// 2 usage.
+#include <poll.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,6 +47,7 @@
 #include "net/envelope.h"
 #include "net/genspec.h"
 #include "net/node_host.h"
+#include "net/udp.h"
 #include "sim/wire.h"
 
 namespace {
@@ -53,12 +60,10 @@ constexpr int exit_usage = 2;
   if (err != nullptr) std::cerr << "discoveryd: " << err << "\n\n";
   std::cerr <<
       "usage: discoveryd --gen KIND:N[:EXTRA[:SEED]] --procs P --index I\n"
-      "                  --control PORT [options]\n"
+      "                  [options]   (stdin: loadgen's control stream)\n"
       "  --variant generic|bounded|adhoc   algorithm variant (default generic)\n"
       "  --seed S          link seed for ARQ retransmit jitter (default 1)\n"
       "  --json PATH       write the run report (json_check --report valid)\n"
-      "  --idle-timeout S  exit 1 after S seconds without control traffic\n"
-      "                    (default 120; orphan protection)\n"
       "  --quiet           suppress the start/stop log lines\n";
   std::exit(exit_usage);
 }
@@ -75,8 +80,7 @@ std::uint64_t num_u64(const std::string& flag, const std::string& text) {
 
 int main(int argc, char** argv) {
   std::string gen_spec, variant_name = "generic", json_path;
-  std::uint64_t procs = 0, index = 0, seed = 1, control_port = 0;
-  std::uint64_t idle_timeout_s = 120;
+  std::uint64_t procs = 0, index = 0, seed = 1;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -90,9 +94,7 @@ int main(int argc, char** argv) {
     else if (a == "--procs") procs = num_u64(a, next());
     else if (a == "--index") index = num_u64(a, next());
     else if (a == "--seed") seed = num_u64(a, next());
-    else if (a == "--control") control_port = num_u64(a, next());
     else if (a == "--json") json_path = next();
-    else if (a == "--idle-timeout") idle_timeout_s = num_u64(a, next());
     else if (a == "--quiet") quiet = true;
     else if (a == "--help" || a == "-h") usage(nullptr);
     else usage(("unknown flag " + a).c_str());
@@ -100,8 +102,6 @@ int main(int argc, char** argv) {
   if (gen_spec.empty()) usage("--gen is required");
   if (procs == 0) usage("--procs must be >= 1");
   if (index >= procs) usage("--index must be < --procs");
-  if (control_port == 0 || control_port > 0xFFFF)
-    usage("--control needs a port in 1..65535");
 
   core::config cfg;
   if (variant_name == "generic") cfg.algo = core::variant::generic;
@@ -112,52 +112,58 @@ int main(int argc, char** argv) {
   const net::genspec_result gen = net::parse_genspec(gen_spec);
   if (!gen.ok()) usage(gen.error.c_str());
 
+  const std::string who = "discoveryd[" + std::to_string(index) + "]: ";
   try {
     net::node_host host(gen.graph, cfg, static_cast<std::size_t>(index),
                         static_cast<std::size_t>(procs), seed);
-    const net::endpoint control_ep =
-        net::loopback(static_cast<std::uint16_t>(control_port));
+    net::record_stream ctl(STDIN_FILENO);
 
     if (!quiet)
       std::cerr << "discoveryd[" << index << "/" << procs << "]: "
                 << host.local_nodes().size() << " nodes on port "
                 << host.port() << "\n";
 
-    bool portmapped = false;
-    bool report_written = false;
-    bool stop = false;
-    std::vector<std::uint8_t> out;
-    // Control replies ride the data socket; loss is fine — every exchange
-    // is re-driven by the orchestrator until answered.
+    std::vector<std::uint8_t> out, rec;
     const auto reply = [&]() {
-      host.send_control(control_ep, out.data(), out.size());
+      if (!ctl.send(out))
+        throw std::runtime_error(
+            "cannot write the control stream on stdin; discoveryd runs "
+            "under loadgen");
     };
 
     const auto send_states = [&]() {
       for (const node_id v : host.local_nodes()) {
         out.clear();
-        net::put_state(out, index, core::snapshot(host.at(v)));
+        net::put_state(out, core::snapshot(host.at(v)));
         reply();
       }
       out.clear();
       out.push_back(net::dg_state_end);
-      sim::wire::put_varint(out, index);
       sim::wire::put_varint(out, host.net().statistics().total_messages());
       sim::wire::put_varint(out, host.net().wire_frames());
       sim::wire::put_varint(out, host.net().wire_bytes_sent());
       sim::wire::put_varint(out, host.decode_errors());
-      sim::wire::put_varint(out, host.net().now());
       reply();
     };
 
-    auto last_control = std::chrono::steady_clock::now();
+    out = {net::dg_hello};
+    sim::wire::put_varint(out, host.port());
+    reply();
 
-    host.set_control([&](const net::endpoint& from, const std::uint8_t* p,
-                         std::size_t n) -> bool {
-      if (from != control_ep) return false;  // untrusted source
-      try {
-        sim::wire::reader r(p + 1, n - 1);
-        switch (p[0]) {
+    bool mapped = false;
+    pollfd fds[2] = {{ctl.fd(), POLLIN, 0}, {host.fd(), POLLIN, 0}};
+    for (;;) {
+      // Until mapped, only the stream is watched: datagrams wait in the
+      // socket for their routes.
+      ::poll(fds, mapped ? 2 : 1, mapped ? host.wait_ms(50) : -1);
+      if (mapped) host.pump();
+      if (fds[0].revents != 0 && !ctl.fill(0))
+        throw std::runtime_error(
+            "the control stream on stdin closed; loadgen has gone");
+      while (ctl.next(rec)) {
+        if (rec.empty()) throw sim::wire::decode_error("empty record");
+        sim::wire::reader r(rec.data() + 1, rec.size() - 1);
+        switch (rec[0]) {
           case net::dg_portmap: {
             const std::uint64_t count = r.varint();
             if (count != procs)
@@ -171,82 +177,52 @@ int main(int argc, char** argv) {
               ports.push_back(static_cast<std::uint16_t>(port));
             }
             r.expect_end();
-            if (!portmapped) {
-              host.set_peers(std::move(ports));
-              portmapped = true;
-            }
+            host.set_peers(std::move(ports));
+            mapped = true;
             break;
           }
           case net::dg_start:
             r.expect_end();
-            // Before the portmap arrives there is nowhere to route; the
-            // orchestrator re-sends both until status answers flow.
-            if (portmapped) host.start();
+            if (!mapped)
+              throw sim::wire::decode_error("start: no portmap yet");
+            host.start();
             break;
           case net::dg_status_req:
             r.expect_end();
             out.clear();
             out.push_back(net::dg_status);
-            sim::wire::put_varint(out, index);
             sim::wire::put_varint(out, host.progress());
             sim::wire::put_varint(out, host.outstanding());
             sim::wire::put_varint(out, host.decode_errors());
             reply();
             break;
           case net::dg_finalize: {
-            const std::uint64_t magic = r.varint();
             r.expect_end();
-            if (magic != net::finalize_magic)
-              throw sim::wire::decode_error("finalize: bad magic");
             send_states();
-            if (!json_path.empty() && !report_written) {
-              const telemetry::run_report rep =
-                  host.report(host.outstanding() == 0);
+            if (!json_path.empty()) {
               std::ofstream f(json_path);
-              f << rep.to_json();
-              report_written = f.good();
+              f << host.report(host.outstanding() == 0).to_json();
             }
             break;
           }
           case net::dg_stop:
             r.expect_end();
-            stop = true;
-            break;
+            if (!quiet)
+              std::cerr << who << "stopped ("
+                        << host.net().statistics().total_messages()
+                        << " messages, " << host.decode_errors()
+                        << " decode drops)\n";
+            return 0;
           default:
-            return false;
+            throw sim::wire::decode_error("unknown tag");
         }
-      } catch (const sim::wire::decode_error&) {
-        return false;  // malformed control: counted as a decode drop
-      }
-      last_control = std::chrono::steady_clock::now();
-      return true;
-    });
-
-    while (!stop) {
-      if (!portmapped) {
-        // Announce the data endpoint until the orchestrator maps us.
-        out.clear();
-        out.push_back(net::dg_hello);
-        sim::wire::put_varint(out, index);
-        reply();
-      }
-      host.poll_once(50);
-      const auto idle = std::chrono::steady_clock::now() - last_control;
-      if (idle > std::chrono::seconds(idle_timeout_s)) {
-        std::cerr << "discoveryd[" << index
-                  << "]: no control traffic for " << idle_timeout_s
-                  << "s; orphaned — exiting\n";
-        return 1;
       }
     }
-
-    if (!quiet)
-      std::cerr << "discoveryd[" << index << "]: stopped ("
-                << host.net().statistics().total_messages() << " messages, "
-                << host.decode_errors() << " decode drops)\n";
-    return 0;
+  } catch (const sim::wire::decode_error& e) {
+    std::cerr << who << "malformed control record: " << e.what() << "\n";
+    return 1;
   } catch (const std::exception& e) {
-    std::cerr << "discoveryd: " << e.what() << "\n";
+    std::cerr << who << e.what() << "\n";
     return 1;
   }
 }

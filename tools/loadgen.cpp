@@ -8,20 +8,22 @@
 //
 //   1. fork/exec P discoveryd processes (found next to this binary unless
 //      --daemon overrides), each hosting the nodes {v : v mod P == i} of
-//      the generated topology;
-//   2. collect dg_hello announcements to learn each child's data port,
-//      then broadcast dg_portmap + dg_start (re-sent until status answers
-//      flow — the control plane is idempotent over lossy UDP);
+//      the generated topology.  Each child's stdin is its end of a
+//      socketpair: one reliable, ordered stream of control records
+//      (net/envelope.h) per child, while UDP carries only the data plane;
+//   2. read each child's dg_hello (its data port), then send dg_portmap to
+//      every child before dg_start to any;
 //   3. optionally blast --garbage K malformed datagrams at every data port
 //      from an untrusted socket (they must be *counted* as decode drops,
 //      never crash a child or stall convergence);
 //   4. poll dg_status_req until the cluster converges: every process
 //      reports zero outstanding work and cluster-wide progress is
 //      unchanged across two consecutive complete rounds;
-//   5. dg_finalize: collect every node's member_state (net::read_state)
-//      and verify the discovery result with core::check_membership — the
-//      simulator's §1.2 verdict (exactly one leader per weak component,
-//      complete done set, routed non-leaders, no parked work);
+//   5. dg_finalize each child in turn: collect its nodes' member_state
+//      (net::read_state) up to its dg_state_end, and verify the discovery
+//      result with core::check_membership — the simulator's §1.2 verdict
+//      (exactly one leader per weak component, complete done set, routed
+//      non-leaders, no parked work);
 //   6. run the in-process simulator twin (same graph, same variant) and
 //      emit BENCH_service_loopback.json with the convergence time, the
 //      service's messages, frames and wire bytes, and the twin's message
@@ -29,19 +31,22 @@
 //   7. dg_stop everything and reap; any child exiting nonzero fails the
 //      run.
 //
+// A child that dies closes its stream, which fails the run at the next
+// record; when loadgen dies, each child sees its stream close and exits.
+//
 // Exit codes: 0 verified convergence, 1 failure (timeout, checker
 // violation, child crash), 2 usage.
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
-#include <map>
+#include <stdexcept>
 #include <string>
-#include <unordered_set>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_report.h"
@@ -100,17 +105,8 @@ std::string self_dir() {
 
 struct child {
   pid_t pid = -1;
-  net::endpoint data;     ///< learned from dg_hello's source address
-  bool known = false;     ///< hello received
-  bool answered = false;  ///< at least one dg_status received
-  std::uint64_t progress = 0;
-  std::uint64_t outstanding = ~0ull;
-  std::uint64_t decode_errors = 0;
-  bool state_end = false;
-  std::uint64_t total_messages = 0;
-  std::uint64_t wire_frames = 0;
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t final_decode_errors = 0;
+  net::record_stream ctl;  ///< loadgen's end of the child's stdin stream
+  std::uint16_t port = 0;  ///< data port, from dg_hello
 };
 
 }  // namespace
@@ -172,22 +168,25 @@ int main(int argc, char** argv) {
   };
 
   try {
-    net::udp_socket control;
-    control.bind_loopback();
-
     // --- 1. spawn -------------------------------------------------------
     const std::string daemon =
         daemon_path.empty() ? self_dir() + "/discoveryd" : daemon_path;
     for (std::uint64_t i = 0; i < procs; ++i) {
+      // CLOEXEC keeps every pair out of the other children: a child's exit
+      // must close the last copy of its end, so that loadgen sees the end
+      // of the stream.  dup2 clears the flag on the child's stdin.
+      int sv[2];
+      if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
+        return fail("socketpair failed");
       const pid_t pid = ::fork();
       if (pid < 0) return fail("fork failed");
       if (pid == 0) {
+        ::dup2(sv[1], STDIN_FILENO);
         ::execl(daemon.c_str(), daemon.c_str(), "--gen", gen_spec.c_str(),
                 "--variant", variant_name.c_str(), "--procs",
                 std::to_string(procs).c_str(), "--index",
                 std::to_string(i).c_str(), "--seed",
-                std::to_string(seed).c_str(), "--control",
-                std::to_string(control.port()).c_str(), "--quiet",
+                std::to_string(seed).c_str(), "--quiet",
                 report_prefix.empty() ? nullptr : "--json",
                 report_prefix.empty()
                     ? nullptr
@@ -197,114 +196,50 @@ int main(int argc, char** argv) {
         std::perror("loadgen: execl discoveryd");
         std::_Exit(127);
       }
+      ::close(sv[1]);
       kids[i].pid = pid;
+      kids[i].ctl = net::record_stream(sv[0]);
     }
 
-    std::vector<std::uint8_t> out, in(net::max_datagram);
-    net::endpoint from;
-    const auto send_to_all = [&](const std::vector<std::uint8_t>& d) {
-      for (const child& c : kids)
-        if (c.known) control.send_to(c.data, d.data(), d.size());
+    const auto send = [&](std::size_t i, const std::vector<std::uint8_t>& r) {
+      if (!kids[i].ctl.send(r))
+        throw std::runtime_error("discoveryd " + std::to_string(i) +
+                                 " closed its stream");
     };
-    const auto check_children_alive = [&]() -> bool {
-      for (child& c : kids) {
-        if (c.pid <= 0) continue;
-        int status = 0;
-        if (::waitpid(c.pid, &status, WNOHANG) == c.pid) {
-          c.pid = -1;
-          return false;  // a child died before dg_stop
-        }
-      }
-      return true;
+    const auto send_all = [&](const std::vector<std::uint8_t>& r) {
+      for (std::size_t i = 0; i < procs; ++i) send(i, r);
     };
-
-    // Drains pending control-socket datagrams into the child table.
-    std::vector<core::member_state> members;
-    std::unordered_set<node_id> member_ids;  ///< ids already in `members`
-    const auto drain = [&]() {
-      for (;;) {
-        const std::ptrdiff_t got =
-            control.recv_from(from, in.data(), in.size());
-        if (got < 0) break;
-        if (got == 0) continue;
-        try {
-          sim::wire::reader r(in.data() + 1, static_cast<std::size_t>(got) - 1);
-          switch (in[0]) {
-            case net::dg_hello: {
-              const std::uint64_t idx = r.varint();
-              r.expect_end();
-              if (idx >= procs) break;
-              kids[idx].data = from;
-              kids[idx].known = true;
-              break;
-            }
-            case net::dg_status: {
-              const std::uint64_t idx = r.varint();
-              if (idx >= procs) break;
-              child& c = kids[idx];
-              c.progress = r.varint();
-              c.outstanding = r.varint();
-              c.decode_errors = r.varint();
-              r.expect_end();
-              c.answered = true;
-              break;
-            }
-            case net::dg_state: {
-              core::member_state m;
-              if (net::read_state(r, m) >= procs) break;
-              // Idempotent finalize: children re-send on every dg_finalize,
-              // so the first copy of each node's state wins.
-              if (member_ids.insert(m.id).second)
-                members.push_back(std::move(m));
-              break;
-            }
-            case net::dg_state_end: {
-              const std::uint64_t idx = r.varint();
-              if (idx >= procs) break;
-              child& c = kids[idx];
-              c.total_messages = r.varint();
-              c.wire_frames = r.varint();
-              c.wire_bytes = r.varint();
-              c.final_decode_errors = r.varint();
-              r.varint();  // virtual completion time (per-proc, unused)
-              r.expect_end();
-              c.state_end = true;
-              break;
-            }
-            default:
-              break;  // stray datagram on the control socket: ignore
-          }
-        } catch (const sim::wire::decode_error&) {
-          // Malformed control traffic: ignore (children are trusted, UDP
-          // is not; the next idempotent round recovers).
-        }
+    // Child i's next record into `rec`, and a reader over its body; the
+    // record's tag must be `tag` unless that is 0.
+    std::vector<std::uint8_t> rec;
+    const auto receive = [&](std::size_t i, std::uint8_t tag) {
+      const std::string name = "discoveryd " + std::to_string(i);
+      while (!kids[i].ctl.next(rec)) {
+        if (clock_t_::now() >= deadline)
+          throw std::runtime_error("timed out waiting for " + name);
+        if (!kids[i].ctl.fill(100))
+          throw std::runtime_error(name + " closed its stream");
       }
+      if (rec.empty() || (tag != 0 && rec[0] != tag))
+        throw std::runtime_error("unexpected record from " + name);
+      return sim::wire::reader(rec.data() + 1, rec.size() - 1);
     };
 
     // --- 2. hello -> portmap -> start -----------------------------------
-    while (clock_t_::now() < deadline) {
-      drain();
-      if (std::all_of(kids.begin(), kids.end(),
-                      [](const child& c) { return c.known; }))
-        break;
-      if (!check_children_alive()) return fail("a child exited during hello");
-      net::wait_readable(control.fd(), 50);
+    std::vector<std::uint8_t> portmap = {net::dg_portmap};
+    sim::wire::put_varint(portmap, procs);
+    for (std::size_t i = 0; i < procs; ++i) {
+      sim::wire::reader r = receive(i, net::dg_hello);
+      const std::uint64_t port = r.varint();
+      r.expect_end();
+      kids[i].port = static_cast<std::uint16_t>(port);
+      sim::wire::put_varint(portmap, port);
     }
-    if (!std::all_of(kids.begin(), kids.end(),
-                     [](const child& c) { return c.known; }))
-      return fail("timed out waiting for dg_hello from every child");
-
-    out.clear();
-    out.push_back(net::dg_portmap);
-    sim::wire::put_varint(out, procs);
-    for (const child& c : kids) sim::wire::put_varint(out, c.data.port);
-    const std::vector<std::uint8_t> portmap = out;
-    const std::vector<std::uint8_t> start = {net::dg_start};
-    const std::vector<std::uint8_t> status_req = {net::dg_status_req};
-
     const auto started_at = clock_t_::now();
-    send_to_all(portmap);
-    send_to_all(start);
+    // Every child is mapped before any starts, so that the first data
+    // datagram finds its routes.
+    send_all(portmap);
+    send_all({net::dg_start});
 
     // --- 3. garbage injection (from an *untrusted* socket) ---------------
     if (garbage > 0) {
@@ -315,9 +250,9 @@ int main(int argc, char** argv) {
       for (const child& c : kids) {
         for (std::uint64_t k = 0; k < garbage; ++k) {
           junk.clear();
-          // Rotate through the datagram planes: raw noise, truncated
-          // data-plane envelopes, and control-plane tags from this
-          // unknown endpoint.  All must be counted, none may crash.
+          // Rotate through raw noise, truncated data-plane envelopes, and
+          // control tags, which have no meaning on UDP.  All must be
+          // counted, none may crash.
           const std::uint64_t kind = k % 3;
           if (kind == 0) junk.push_back(static_cast<std::uint8_t>(grng.next()));
           else if (kind == 1) junk.push_back(net::dg_data);
@@ -325,91 +260,65 @@ int main(int argc, char** argv) {
           const std::uint64_t len = grng.below(48);
           for (std::uint64_t b = 0; b < len; ++b)
             junk.push_back(static_cast<std::uint8_t>(grng.next()));
-          garbage_sock.send_to(c.data, junk.data(), junk.size());
+          garbage_sock.send_to(net::loopback(c.port), junk.data(),
+                               junk.size());
         }
       }
     }
 
     // --- 4. convergence polling ------------------------------------------
-    bool converged = false;
     double convergence_ms = 0.0;
     std::uint64_t last_progress_sum = ~0ull;
-    while (clock_t_::now() < deadline) {
-      for (child& c : kids) c.answered = false;
-      send_to_all(status_req);
-      // A child that never answered may have lost portmap/start: re-send.
-      const auto round_end = clock_t_::now() + std::chrono::milliseconds(60);
-      while (clock_t_::now() < round_end) {
-        net::wait_readable(control.fd(), 20);
-        drain();
-        if (std::all_of(kids.begin(), kids.end(),
-                        [](const child& c) { return c.answered; }))
-          break;
-      }
-      if (!check_children_alive())
-        return fail("a child exited during convergence");
-      if (!std::all_of(kids.begin(), kids.end(),
-                       [](const child& c) { return c.answered; })) {
-        send_to_all(portmap);
-        send_to_all(start);
-        continue;
-      }
+    for (;;) {
+      if (clock_t_::now() >= deadline)
+        return fail("cluster did not converge before --timeout");
+      send_all({net::dg_status_req});
       std::uint64_t outstanding_sum = 0, progress_sum = 0;
-      for (const child& c : kids) {
-        outstanding_sum += c.outstanding;
-        progress_sum += c.progress;
+      for (std::size_t i = 0; i < procs; ++i) {
+        sim::wire::reader r = receive(i, net::dg_status);
+        progress_sum += r.varint();
+        outstanding_sum += r.varint();
+        r.varint();  // decode drops so far; dg_state_end has the final count
+        r.expect_end();
       }
       if (outstanding_sum == 0 && progress_sum == last_progress_sum) {
-        converged = true;
         convergence_ms = std::chrono::duration<double, std::milli>(
                              clock_t_::now() - started_at)
                              .count();
         break;
       }
       last_progress_sum = progress_sum;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    if (!converged) return fail("cluster did not converge before --timeout");
 
     // --- 5. finalize + membership check ----------------------------------
-    const std::vector<std::uint8_t> finalize = [] {
-      std::vector<std::uint8_t> d{net::dg_finalize};
-      sim::wire::put_varint(d, net::finalize_magic);
-      return d;
-    }();
-    while (clock_t_::now() < deadline) {
-      send_to_all(finalize);
-      const auto round_end = clock_t_::now() + std::chrono::milliseconds(100);
-      while (clock_t_::now() < round_end) {
-        net::wait_readable(control.fd(), 25);
-        drain();
-        if (std::all_of(kids.begin(), kids.end(),
-                        [](const child& c) { return c.state_end; }))
-          break;
-      }
-      if (std::all_of(kids.begin(), kids.end(),
-                      [](const child& c) { return c.state_end; }))
+    std::vector<core::member_state> members;
+    members.reserve(n);
+    std::uint64_t svc_messages = 0, svc_frames = 0, svc_bytes = 0,
+                  svc_decode_errors = 0;
+    for (std::size_t i = 0; i < procs; ++i) {
+      send(i, {net::dg_finalize});
+      for (;;) {
+        sim::wire::reader r = receive(i, 0);
+        if (rec[0] == net::dg_state) {
+          net::read_state(r, members.emplace_back());
+          continue;
+        }
+        if (rec[0] != net::dg_state_end)
+          throw std::runtime_error("unexpected record during finalize");
+        svc_messages += r.varint();
+        svc_frames += r.varint();
+        svc_bytes += r.varint();
+        svc_decode_errors += r.varint();
+        r.expect_end();
         break;
+      }
     }
-    if (!std::all_of(kids.begin(), kids.end(),
-                     [](const child& c) { return c.state_end; }))
-      return fail("timed out collecting final state");
-    if (members.size() != n)
-      return fail("collected " + std::to_string(members.size()) +
-                  " member states for " + std::to_string(n) + " nodes");
-
     const core::check_report verdict =
         core::check_membership(members, g.weak_components(), cfg.algo);
     if (!verdict.ok())
       return fail("membership check:\n" + verdict.to_string());
 
-    std::uint64_t svc_messages = 0, svc_frames = 0, svc_bytes = 0,
-                  svc_decode_errors = 0;
-    for (const child& c : kids) {
-      svc_messages += c.total_messages;
-      svc_frames += c.wire_frames;
-      svc_bytes += c.wire_bytes;
-      svc_decode_errors += c.final_decode_errors;
-    }
     if (garbage > 0 && svc_decode_errors == 0)
       return fail("--garbage was injected but no decode drops were counted");
 
@@ -440,28 +349,20 @@ int main(int argc, char** argv) {
                               : 0.0);
 
     // --- 7. stop + reap ---------------------------------------------------
-    send_to_all({net::dg_stop});
+    send_all({net::dg_stop});
     bool clean = true;
     for (child& c : kids) {
-      if (c.pid <= 0) continue;
+      // The stream closes before the child can be reaped: give it a
+      // bounded time to exit, then kill it.
       int status = 0;
       const auto stop_deadline = clock_t_::now() + std::chrono::seconds(5);
-      for (;;) {
-        const pid_t r = ::waitpid(c.pid, &status, WNOHANG);
-        if (r == c.pid) break;
+      while (::waitpid(c.pid, &status, WNOHANG) != c.pid) {
         if (clock_t_::now() > stop_deadline) {
-          // dg_stop lost repeatedly or the child wedged: re-send, then kill.
-          control.send_to(c.data, out.data(), 0);
-          const std::vector<std::uint8_t> stop_dg = {net::dg_stop};
-          control.send_to(c.data, stop_dg.data(), stop_dg.size());
           ::kill(c.pid, SIGKILL);
           ::waitpid(c.pid, &status, 0);
-          clean = false;
           break;
         }
-        const std::vector<std::uint8_t> stop_dg = {net::dg_stop};
-        control.send_to(c.data, stop_dg.data(), stop_dg.size());
-        net::wait_readable(control.fd(), 50);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) clean = false;
       c.pid = -1;
